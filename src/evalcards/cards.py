@@ -261,12 +261,6 @@ def validate_export(doc: Mapping) -> None:
             raise ExportSchemaError(f"export.linearity.pooled: missing {key!r}")
 
 
-def _quantize(doc: dict) -> dict:
-    """Round-trip through the canonical serializer: what you render is what
-    the export file carries, digit for digit."""
-    return json.loads(canonical_json(doc))
-
-
 # --------------------------------------------------------------------------
 # Shared HTML scaffolding
 # --------------------------------------------------------------------------
@@ -580,8 +574,12 @@ def render_within(
 def render_within_export(export: Mapping, *, log_scale: bool = False) -> str:
     """Render the within-system card set from an export document alone."""
     validate_export(export)
-    export = _quantize(dict(export))
-    digest = sha256_hex(canonical_json(export))
+    # Serialize once: the digest covers these bytes, and rendering reads
+    # them back, so every figure is the export file's, digit for digit.
+    text = canonical_json(dict(export))
+    digest = sha256_hex(text)
+    export = json.loads(text)
+    del text  # keep the text out of the render's peak memory
     options = _options_note(export["options"])
     sections = [
         _sec_descriptive_within(export),
@@ -785,15 +783,18 @@ def render_between(exports: Sequence[Mapping], *, log_scale: bool = False) -> st
         raise FewerThanTwoSystems(f"comparison needs at least 2 exports, got {len(exports)}")
     for export in exports:
         validate_export(export)
-    exports = [_quantize(dict(export)) for export in exports]
-    exports.sort(key=lambda e: e["system_name"])
+    exports = sorted(exports, key=lambda e: e["system_name"])
     names = [e["system_name"] for e in exports]
     if len(set(names)) != len(names):
         raise CardsError(f"duplicate system names in comparison: {names}")
+    # Serialize once per export, as in render_within_export.
+    texts = [canonical_json(dict(export)) for export in exports]
+    digest = sha256_hex("".join(texts))
+    exports = [json.loads(text) for text in texts]
+    del texts
 
     models = [ComponentModel.from_dict(export["model"]) for export in exports]
     alignment = align_models(models)
-    digest = sha256_hex("".join(canonical_json(export) for export in exports))
 
     body = [
         _section("descriptive", "between", _sec_descriptive_between(exports), digest=digest),

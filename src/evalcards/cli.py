@@ -296,7 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--collapse-repeats",
         action="store_true",
-        help="collapse runs of repeated component visits before counting transitions",
+        help=(
+            "collapse runs of repeated component visits before counting transitions "
+            "(zeroes the matrix diagonals; linearity still counts the uncollapsed visits)"
+        ),
     )
     p_an.add_argument(
         "--sort-timestamps", action="store_true", help="stably sort out-of-order records"

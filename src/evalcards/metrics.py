@@ -16,7 +16,10 @@ computes.
 Linearity quantifies staged versus back-and-forth usage: over all non-self
 transitions, the fraction that move *forward* in the canonical component
 order. 1.0 means strictly staged, 0.0 fully backward; a session with no
-non-self transitions is vacuously linear (1.0).
+non-self transitions is vacuously linear (1.0). Linearity always counts the
+uncollapsed record sequence, also when ``collapse_repeats`` collapses the
+transition matrices: its pooled self count is the trace of the uncollapsed
+L3 matrix, so it can be positive while the collapsed diagonal is 0.
 """
 from __future__ import annotations
 
@@ -174,21 +177,34 @@ class TransitionMatrix:
             "counts": self.counts.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "TransitionMatrix":
-        return cls(
-            order=tuple(data["order"]),
-            counts=np.asarray(data["counts"], dtype=np.int64),
-            level=MatrixLevel.parse(data["level"]),
+
+def _pair_counts(sessions: Iterable[Session], model: ComponentModel) -> np.ndarray:
+    """L3 counts of consecutive record pairs, never across session boundaries."""
+    index = {comp_id: i for i, comp_id in enumerate(model.comp_ids)}
+    n = len(index)
+    cells = np.zeros(n * n, dtype=np.int64)
+    for session in sessions:
+        ids = np.array([index[r.comp_id] for r in session.records], dtype=np.int64)
+        cells += np.bincount(ids[:-1] * n + ids[1:], minlength=n * n)
+    return cells.reshape(n, n)
+
+
+def _at_level(
+    l3_counts: np.ndarray, model: ComponentModel, level: MatrixLevel, collapse_repeats: bool
+) -> TransitionMatrix:
+    """The matrix at ``level``, derived from the uncollapsed L3 pair counts."""
+    if level is MatrixLevel.L3:
+        order = model.comp_ids
+        counts = l3_counts.copy()
+    else:
+        order = model.l2_order
+        rollup = np.array(
+            [[comp.l2_id == l2_id for l2_id in order] for comp in model.components], dtype=np.int64
         )
-
-
-def _collapse_runs(ids: Sequence[str]) -> list[str]:
-    out: list[str] = []
-    for item in ids:
-        if not out or out[-1] != item:
-            out.append(item)
-    return out
+        counts = rollup.T @ l3_counts @ rollup
+    if collapse_repeats:
+        np.fill_diagonal(counts, 0)
+    return TransitionMatrix(order=tuple(order), counts=counts, level=level)
 
 
 def transition_matrix(
@@ -199,29 +215,15 @@ def transition_matrix(
 ) -> TransitionMatrix:
     """Count consecutive record pairs, never across session boundaries.
 
-    At L2 each record maps to its level-2 ancestor before counting. With
-    ``collapse_repeats``, runs of identical ids (at the chosen level)
-    collapse to a single step first, which zeroes the diagonal. Roll-up
-    equivalence (the L2 matrix equals the block-sum of the L3 matrix)
-    holds for uncollapsed counts.
+    Pairs are counted once, between terminal components. The L2 matrix is
+    the block-sum of that count: ``R.T @ L3 @ R``, where ``R`` maps each
+    component to its level-2 ancestor. With ``collapse_repeats``, runs of
+    identical ids (at the chosen level) count as a single step. Collapsing
+    a run removes exactly its self pairs, so it zeroes the diagonal of the
+    matrix at either level and leaves every other cell as it is.
     """
     level = MatrixLevel.parse(level)
-    if level is MatrixLevel.L3:
-        order = model.comp_ids
-        mapping = {c: c for c in order}
-    else:
-        order = model.l2_order
-        mapping = {c.comp_id: c.l2_id for c in model.components}
-    index = {key: i for i, key in enumerate(order)}
-
-    counts = np.zeros((len(order), len(order)), dtype=np.int64)
-    for session in sessions:
-        ids = [mapping[r.comp_id] for r in session.records]
-        if collapse_repeats:
-            ids = _collapse_runs(ids)
-        for src, dst in zip(ids, ids[1:]):
-            counts[index[src], index[dst]] += 1
-    return TransitionMatrix(order=tuple(order), counts=counts, level=level)
+    return _at_level(_pair_counts(sessions, model), model, level, collapse_repeats)
 
 
 # --------------------------------------------------------------------------
@@ -377,15 +379,12 @@ def compute_metric_set(
         forward += idx.forward_count
         backward += idx.backward_count
         self_count += idx.self_count
+    l3_counts = _pair_counts(bundle.sessions, model)
     return MetricSet(
         model=model,
         effort=compute_effort(bundle, idle_cap_ms),
-        l3_matrix=transition_matrix(
-            bundle.sessions, model, MatrixLevel.L3, collapse_repeats=collapse_repeats
-        ),
-        l2_matrix=transition_matrix(
-            bundle.sessions, model, MatrixLevel.L2, collapse_repeats=collapse_repeats
-        ),
+        l3_matrix=_at_level(l3_counts, model, MatrixLevel.L3, collapse_repeats),
+        l2_matrix=_at_level(l3_counts, model, MatrixLevel.L2, collapse_repeats),
         session_linearity=tuple(per_session),
         pooled_linearity=_index_from_counts(forward, backward, self_count),
         collapse_repeats=collapse_repeats,

@@ -275,12 +275,12 @@ RATINGS_HEADER = ["user_id", "comp_id", "efficiency", "effectiveness"]
 SUS_HEADER = ["user_id"] + [f"q{i}" for i in range(1, SUS_ITEM_COUNT + 1)]
 
 
-def _int_field(row_no: int, name: str, value: str) -> int:
+def _int_field(name: str, value: str) -> int:
     text = value.strip()
     try:
         return int(text)
     except ValueError:
-        raise SurveyFormatError(f"row {row_no}: {name} must be an integer, got {text!r}") from None
+        raise SurveyFormatError(f"{name} must be an integer, got {text!r}") from None
 
 
 def load_ratings_csv(path: str | Path) -> list[ComponentRating]:
@@ -296,15 +296,15 @@ def load_ratings_csv(path: str | Path) -> list[ComponentRating]:
         for row_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if len(row) != len(RATINGS_HEADER):
-                raise SurveyFormatError(f"row {row_no}: expected {len(RATINGS_HEADER)} fields")
             try:
+                if len(row) != len(RATINGS_HEADER):
+                    raise SurveyFormatError(f"expected {len(RATINGS_HEADER)} fields")
                 ratings.append(
                     ComponentRating(
                         user_id=row[0].strip(),
                         comp_id=row[1].strip(),
-                        efficiency=_int_field(row_no, "efficiency", row[2]),
-                        effectiveness=_int_field(row_no, "effectiveness", row[3]),
+                        efficiency=_int_field("efficiency", row[2]),
+                        effectiveness=_int_field("effectiveness", row[3]),
                     )
                 )
             except SurveyFormatError as exc:
@@ -323,10 +323,10 @@ def load_sus_csv(path: str | Path) -> list[SusResponse]:
         for row_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if len(row) != len(SUS_HEADER):
-                raise SurveyFormatError(f"row {row_no}: expected {len(SUS_HEADER)} fields")
-            items = tuple(_int_field(row_no, f"q{i}", cell) for i, cell in enumerate(row[1:], 1))
             try:
+                if len(row) != len(SUS_HEADER):
+                    raise SurveyFormatError(f"expected {len(SUS_HEADER)} fields")
+                items = tuple(_int_field(f"q{i}", cell) for i, cell in enumerate(row[1:], 1))
                 responses.append(SusResponse(user_id=row[0].strip(), items=items))
             except SurveyFormatError as exc:
                 raise SurveyFormatError(f"{path}: row {row_no}: {exc}") from None

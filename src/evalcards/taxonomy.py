@@ -138,10 +138,6 @@ def load_reference() -> list[ReferenceFunctionality]:
     return list(_REFERENCE)
 
 
-def reference_by_key() -> dict[str, ReferenceFunctionality]:
-    return {ref.l2_id: ref for ref in _REFERENCE}
-
-
 # --------------------------------------------------------------------------
 # Errors
 # --------------------------------------------------------------------------
@@ -382,13 +378,6 @@ class ComponentModel:
         import json
 
         return cls.from_dict(json.loads(text))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ComponentModel":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def resolve_model(system_name: str, actions: Sequence[ResolutionAction]) -> ComponentModel:

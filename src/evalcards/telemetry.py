@@ -30,7 +30,6 @@ __all__ = [
     "SessionBundle",
     "parse_log",
     "load_bundle",
-    "validate_session",
     "parse_timestamp",
     "format_timestamp",
     "record_to_dict",
@@ -200,13 +199,19 @@ class SessionBundle:
     sessions: tuple[Session, ...]
 
     def __post_init__(self):
+        # Records are validated once, in parse_log; a bundle checks only
+        # what ties its sessions together.
         seen = set()
         for session in self.sessions:
             key = (session.user_id, session.task_id)
             if key in seen:
                 raise DuplicateUserTask(f"duplicate session for user/task {key}")
             seen.add(key)
-            validate_session(session, self.model)
+            if session.system_name != self.model.system_name:
+                raise HierarchyMismatch(
+                    f"session for system {session.system_name!r} bundled with "
+                    f"model {self.model.system_name!r}"
+                )
 
     def __len__(self) -> int:
         return len(self.sessions)
@@ -220,22 +225,8 @@ class SessionBundle:
         return tuple(sorted({s.task_id for s in self.sessions}))
 
 
-def validate_session(session: Session, model: ComponentModel) -> None:
-    """Check every record's component and ancestry against ``model``."""
-    by_id = model.by_id
-    if session.system_name != model.system_name:
-        raise HierarchyMismatch(
-            f"session for system {session.system_name!r} validated against "
-            f"model {model.system_name!r}"
-        )
-    for record in session.records:
-        _check_record(record, by_id)
-
-
 def _check_record(record: LogRecord, by_id: Mapping[str, Any]) -> None:
-    comp = by_id.get(record.comp_id)
-    if comp is None:
-        raise UnknownComponent(f"comp_id {record.comp_id!r} is not in the component model")
+    comp = by_id[record.comp_id]  # parse_log has set unknown components aside
     if record.lv1_id is not comp.l1_id or record.lv2_id != comp.l2_id:
         raise HierarchyMismatch(
             f"record names ({record.lv1_id.value!r}, {record.lv2_id!r}) for "

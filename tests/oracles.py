@@ -53,3 +53,15 @@ def oracle_linearity_counts(comp_ids, order):
         else:
             backward += 1
     return forward, backward, selfs
+
+
+def oracle_pair_counts(sequences, order):
+    """Transition counts cell by cell: for every (source, destination) in
+    ``order``, scan every sequence for that adjacent pair."""
+    return [
+        [
+            sum(1 for seq in sequences for a, b in zip(seq, seq[1:]) if a == src and b == dst)
+            for dst in order
+        ]
+        for src in order
+    ]

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from evalcards import cards
 from evalcards.cards import (
     ExportSchemaError,
     FewerThanTwoSystems,
@@ -216,6 +217,17 @@ def test_sections_carry_inputs_digest_metadata(visus_parts):
     digest = sha256_hex(canonical_json(export))
     assert html.count(f'data-inputs-digest="sha256:{digest}"') == 4
     assert 'data-options="idle cap: 600000 ms' in html
+
+
+def test_render_serializes_each_export_once(three_exports, monkeypatch):
+    calls = []
+    serialize = cards.canonical_json
+    monkeypatch.setattr(cards, "canonical_json", lambda doc: calls.append(doc) or serialize(doc))
+    render_within_export(three_exports[0])
+    assert len(calls) == 1
+    calls.clear()
+    render_between(three_exports)
+    assert len(calls) == len(three_exports)
 
 
 def test_zero_cells_use_distinct_empty_tone(visus_parts):

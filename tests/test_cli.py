@@ -216,6 +216,44 @@ def test_analyze_bad_idle_cap_exits_2(tmp_path, visus_config, capsys):
     assert code == 2
 
 
+SUS_CSV_HEADER = "user_id," + ",".join(f"q{i}" for i in range(1, 11)) + "\n"
+RATINGS_CSV_HEADER = "user_id,comp_id,efficiency,effectiveness\n"
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("ratings.csv", RATINGS_CSV_HEADER + "u01,open_dataset,3\n"),
+        ("ratings.csv", RATINGS_CSV_HEADER + "u01,open_dataset,four,5\n"),
+        ("ratings.csv", RATINGS_CSV_HEADER + "u01,open_dataset,9,5\n"),
+        ("sus.csv", SUS_CSV_HEADER + "u01,3,3\n"),
+        ("sus.csv", SUS_CSV_HEADER + "u01,3,x,3,3,3,3,3,3,3,3\n"),
+        ("sus.csv", SUS_CSV_HEADER + "u01,3,3,3,3,9,3,3,3,3,3\n"),
+    ],
+    ids=["ratings-short", "ratings-not-int", "ratings-range", "sus-short", "sus-not-int", "sus-range"],
+)
+def test_analyze_bad_survey_row_names_file_and_row_once(
+    tmp_path, visus_config, profile_file, capsys, name, text
+):
+    fixture_dir = tmp_path / "fixture"
+    assert run(["synth", "--taxonomy", visus_config, "--profile", profile_file, "--out", fixture_dir]) == 0
+    csv_path = fixture_dir / "surveys" / name
+    csv_path.write_text(text, encoding="utf-8")
+    code = run(
+        [
+            "analyze",
+            "--taxonomy", visus_config,
+            "--logs", fixture_dir / "logs",
+            "--surveys", fixture_dir / "surveys",
+            "--out", tmp_path / "export.json",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count(str(csv_path)) == 1
+    assert err.count("row 2") == 1
+
+
 def test_parse_duration_ms():
     assert parse_duration_ms("10m") == 600_000
     assert parse_duration_ms("90s") == 90_000

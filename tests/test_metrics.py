@@ -18,6 +18,8 @@ from evalcards.synth import Archetype, SplitMix64, SynthProfile, generate_bundle
 from evalcards.taxonomy import ResolutionAction, resolve_model
 from evalcards.telemetry import LogRecord, Session, SessionBundle, parse_timestamp
 
+from oracles import oracle_pair_counts
+
 REFERENCE_KEYS = [
     "open_dataset",
     "explore_dataset",
@@ -175,6 +177,35 @@ def test_l2_matrix_equals_block_sum_of_l3(visus_model):
         assert np.array_equal(l2.counts, blocks)
 
 
+@pytest.mark.parametrize("system", ["visus", "distil", "tworavens"])
+@pytest.mark.parametrize("collapse", [False, True])
+def test_matrices_match_pair_oracle(system, collapse):
+    model = fixture_model(system)
+    bundle = random_bundle(model, n_users=4, seed=41)
+    metric_set = compute_metric_set(bundle, collapse_repeats=collapse)
+    levels = {
+        MatrixLevel.L3: (metric_set.l3_matrix, model.comp_ids, lambda c: c.comp_id),
+        MatrixLevel.L2: (metric_set.l2_matrix, model.l2_order, lambda c: c.l2_id),
+    }
+    for level, (computed, order, unit) in levels.items():
+        matrix = transition_matrix(bundle.sessions, model, level, collapse_repeats=collapse)
+        unit_of = {c.comp_id: unit(c) for c in model.components}
+        sequences = [[unit_of[r.comp_id] for r in s.records] for s in bundle.sessions]
+        if collapse:
+            sequences = [
+                [x for i, x in enumerate(seq) if i == 0 or seq[i - 1] != x] for seq in sequences
+            ]
+        expected = oracle_pair_counts(sequences, order)
+        assert matrix.order == order
+        assert matrix.counts.tolist() == expected
+        assert computed.counts.tolist() == expected
+    if len(model.l2_order) < len(model):
+        # L2 merges distinct components into self pairs, so collapsing at L2
+        # is not the roll-up of the collapsed L3 matrix
+        raw = compute_metric_set(bundle)
+        assert np.trace(raw.l2_matrix.counts) > np.trace(raw.l3_matrix.counts)
+
+
 def test_unknown_level_rejected(identity_model):
     with pytest.raises(UnknownLevel):
         transition_matrix([], identity_model, level="L7")
@@ -311,3 +342,6 @@ def test_metric_set_records_options(visus_model):
     assert metric_set.idle_cap_ms == 123_000
     assert metric_set.collapse_repeats is True
     assert np.trace(metric_set.l3_matrix.counts) == 0
+    # linearity counts the uncollapsed sequence even when the matrices collapse
+    uncollapsed = transition_matrix(bundle.sessions, visus_model)
+    assert metric_set.pooled_linearity.self_count == np.trace(uncollapsed.counts) > 0

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from evalcards import telemetry
 from evalcards.fixtures import fixture_model
 from evalcards.synth import Archetype, SynthProfile, generate_bundle, write_fixture_tree
 from evalcards.taxonomy import ResolutionAction, resolve_model
@@ -315,10 +316,21 @@ def test_bundle_construction_revalidates_sessions(identity_model, visus_model):
         user_id="u1",
         task_id="t",
     )
-    # validation is a checked property of the bundle, not an assumption:
-    # the same session fails against a model lacking its component ancestry
+    # a bundle ties every session to its own model: a session parsed for
+    # another system is rejected
     with pytest.raises(HierarchyMismatch):
         SessionBundle(model=visus_model, sessions=(session,))
+
+
+def test_load_bundle_checks_each_record_once(tmp_path, visus_model, monkeypatch):
+    synth_tree(tmp_path, visus_model)
+    checked = []
+    check = telemetry._check_record
+    monkeypatch.setattr(
+        telemetry, "_check_record", lambda record, by_id: checked.append(record) or check(record, by_id)
+    )
+    bundle = load_bundle(tmp_path / "logs", visus_model)
+    assert len(checked) == sum(len(s.records) for s in bundle.sessions)
 
 
 def test_per_file_failures_collected(tmp_path, identity_model):
