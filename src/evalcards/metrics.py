@@ -20,6 +20,14 @@ non-self transitions is vacuously linear (1.0). Linearity always counts the
 uncollapsed record sequence, also when ``collapse_repeats`` collapses the
 transition matrices: its pooled self count is the trace of the uncollapsed
 L3 matrix, so it can be positive while the collapsed diagonal is 0.
+
+Every quantity is computed from the session arrays (``ts_ms``, ``comp_idx``;
+see :mod:`evalcards.telemetry`), stacked end to end for the whole bundle so
+that no consecutive pair crosses a session boundary. Effort sums the capped
+gaps ``min(diff(ts_ms), cap)`` per (session, component) in int64, visits
+are a ``bincount`` of ``comp_idx``, the L3 matrix a ``bincount`` of
+(source, destination) pairs, and linearity the signs of
+``comp_idx[k + 1] - comp_idx[k]``. All counts are exact integers.
 """
 from __future__ import annotations
 
@@ -86,22 +94,55 @@ class MatrixLevel(str, Enum):
 # --------------------------------------------------------------------------
 
 
+class _Stack:
+    """Every session's columns end to end, and the consecutive pairs of
+    records within one session: ``src``/``dst`` component indices, the
+    ``gaps`` between their instants, and the session each pair belongs to."""
+
+    def __init__(self, sessions: Sequence[Session]):
+        self.n_sessions = len(sessions)
+        if sessions:
+            ts = np.concatenate([s.ts_ms for s in sessions])
+            self.idx = np.concatenate([s.comp_idx for s in sessions])
+        else:
+            ts, self.idx = np.zeros(0, np.int64), np.zeros(0, np.int32)
+        owner = np.repeat(np.arange(self.n_sessions), [len(s.ts_ms) for s in sessions])
+        within = owner[1:] == owner[:-1]
+        self.src = self.idx[:-1][within]
+        self.dst = self.idx[1:][within]
+        self.gaps = np.diff(ts)[within]
+        self.pair_owner = owner[:-1][within]
+
+    def effort_ms(self, n: int, idle_cap_ms: int | None) -> np.ndarray:
+        """(session, component) attributed ms: each gap goes to its source."""
+        gaps = self.gaps if idle_cap_ms is None else np.minimum(self.gaps, idle_cap_ms)
+        out = np.zeros(self.n_sessions * n, dtype=np.int64)
+        np.add.at(out, self.pair_owner * n + self.src, gaps)
+        return out.reshape(self.n_sessions, n)
+
+    def pair_counts(self, n: int) -> np.ndarray:
+        """L3 counts of consecutive record pairs."""
+        return np.bincount(self.src * n + self.dst, minlength=n * n).reshape(n, n)
+
+    def moves(self) -> np.ndarray:
+        """Per session: (backward, self, forward) counts in component order."""
+        step = np.sign(self.dst - self.src) + 1
+        return np.bincount(self.pair_owner * 3 + step, minlength=self.n_sessions * 3).reshape(
+            self.n_sessions, 3
+        )
+
+
 def attribute_time(session: Session, idle_cap_ms: int | None = None) -> dict[str, int]:
     """Attribute the session span to components, in milliseconds.
 
     With no cap the per-component sums add up to the session span exactly.
     With a cap, any inter-record gap longer than ``idle_cap_ms`` is
-    truncated to the cap before attribution.
+    truncated to the cap before attribution. Keys are the session's
+    components in order of first appearance.
     """
-    out: dict[str, int] = {}
-    records = session.records
-    for current, nxt in zip(records, records[1:]):
-        gap = nxt.ts_ms - current.ts_ms
-        if idle_cap_ms is not None and gap > idle_cap_ms:
-            gap = idle_cap_ms
-        out[current.comp_id] = out.get(current.comp_id, 0) + gap
-    out.setdefault(records[-1].comp_id, 0)
-    return out
+    comp_ids = session.model.comp_ids
+    per_comp = _Stack((session,)).effort_ms(len(comp_ids), idle_cap_ms)[0].tolist()
+    return {comp_ids[i]: per_comp[i] for i in dict.fromkeys(session.comp_idx.tolist())}
 
 
 @dataclass(frozen=True)
@@ -126,24 +167,21 @@ class EffortProfile:
 
 
 def compute_effort(bundle: SessionBundle, idle_cap_ms: int | None = None) -> EffortProfile:
+    return _effort(bundle, _Stack(bundle.sessions), idle_cap_ms)
+
+
+def _effort(bundle: SessionBundle, stack: _Stack, idle_cap_ms: int | None) -> EffortProfile:
     comp_ids = bundle.model.comp_ids
-    totals = {c: 0 for c in comp_ids}
-    visits = {c: 0 for c in comp_ids}
-    rows = []
-    for session in bundle.sessions:
-        attributed = attribute_time(session, idle_cap_ms)
-        per_comp = {c: attributed.get(c, 0) for c in comp_ids}
-        rows.append(
-            SessionEffort(user_id=session.user_id, task_id=session.task_id, per_comp_ms=per_comp)
-        )
-        for comp, ms in per_comp.items():
-            totals[comp] += ms
-        for record in session.records:
-            visits[record.comp_id] += 1
+    per_session = stack.effort_ms(len(comp_ids), idle_cap_ms)
+    rows = tuple(
+        SessionEffort(user_id=s.user_id, task_id=s.task_id, per_comp_ms=dict(zip(comp_ids, row)))
+        for s, row in zip(bundle.sessions, per_session.tolist())
+    )
+    visits = np.bincount(stack.idx, minlength=len(comp_ids))
     return EffortProfile(
-        totals_ms=totals,
-        visit_counts=visits,
-        per_session=tuple(rows),
+        totals_ms=dict(zip(comp_ids, per_session.sum(axis=0).tolist())),
+        visit_counts=dict(zip(comp_ids, visits.tolist())),
+        per_session=rows,
         idle_cap_ms=idle_cap_ms,
     )
 
@@ -176,17 +214,6 @@ class TransitionMatrix:
             "order": list(self.order),
             "counts": self.counts.tolist(),
         }
-
-
-def _pair_counts(sessions: Iterable[Session], model: ComponentModel) -> np.ndarray:
-    """L3 counts of consecutive record pairs, never across session boundaries."""
-    index = {comp_id: i for i, comp_id in enumerate(model.comp_ids)}
-    n = len(index)
-    cells = np.zeros(n * n, dtype=np.int64)
-    for session in sessions:
-        ids = np.array([index[r.comp_id] for r in session.records], dtype=np.int64)
-        cells += np.bincount(ids[:-1] * n + ids[1:], minlength=n * n)
-    return cells.reshape(n, n)
 
 
 def _at_level(
@@ -223,7 +250,8 @@ def transition_matrix(
     matrix at either level and leaves every other cell as it is.
     """
     level = MatrixLevel.parse(level)
-    return _at_level(_pair_counts(sessions, model), model, level, collapse_repeats)
+    l3_counts = _Stack(tuple(sessions)).pair_counts(len(model))
+    return _at_level(l3_counts, model, level, collapse_repeats)
 
 
 # --------------------------------------------------------------------------
@@ -279,18 +307,22 @@ def linearity(
                     backward += count
         return _index_from_counts(forward, backward, self_count)
 
-    ids = source.comp_sequence() if isinstance(source, Session) else list(source)
-    missing = sorted({c for c in ids if c not in pos})
-    if missing:
-        raise ComponentNotInOrder(f"component ids not in order: {missing}")
-    forward = backward = self_count = 0
-    for src, dst in zip(ids, ids[1:]):
-        if src == dst:
-            self_count += 1
-        elif pos[dst] > pos[src]:
-            forward += 1
-        else:
-            backward += 1
+    if isinstance(source, Session):
+        comp_ids = source.model.comp_ids
+        positions = source.comp_idx
+        if tuple(order) != comp_ids:
+            pos_of = np.array([pos.get(c, -1) for c in comp_ids], dtype=np.int64)
+            positions = pos_of[positions]
+            if (positions < 0).any():
+                missing = sorted({comp_ids[i] for i in source.comp_idx[positions < 0].tolist()})
+                raise ComponentNotInOrder(f"component ids not in order: {missing}")
+    else:
+        ids = list(source)
+        missing = sorted({c for c in ids if c not in pos})
+        if missing:
+            raise ComponentNotInOrder(f"component ids not in order: {missing}")
+        positions = np.array([pos[c] for c in ids], dtype=np.int64)
+    backward, self_count, forward = np.bincount(np.sign(np.diff(positions)) + 1, minlength=3).tolist()
     return _index_from_counts(forward, backward, self_count)
 
 
@@ -328,7 +360,7 @@ def descriptive(bundle: SessionBundle, sus_scores: Mapping[str, float]) -> Descr
             user_id=s.user_id,
             task_id=s.task_id,
             completion_ms=s.span_ms,
-            steps=len(s.records),
+            steps=len(s.ts_ms),
         )
         for s in bundle.sessions
     )
@@ -368,24 +400,24 @@ def compute_metric_set(
 ) -> MetricSet:
     """Compute effort, both matrices, and linearity for a bundle."""
     model = bundle.model
-    order = model.comp_ids
-    per_session = []
-    forward = backward = self_count = 0
-    for session in bundle.sessions:
-        idx = linearity(session, order)
-        per_session.append(
-            SessionLinearity(user_id=session.user_id, task_id=session.task_id, index=idx)
+    stack = _Stack(bundle.sessions)
+    moves = stack.moves()
+    per_session = tuple(
+        SessionLinearity(
+            user_id=s.user_id,
+            task_id=s.task_id,
+            index=_index_from_counts(forward, backward, self_count),
         )
-        forward += idx.forward_count
-        backward += idx.backward_count
-        self_count += idx.self_count
-    l3_counts = _pair_counts(bundle.sessions, model)
+        for s, (backward, self_count, forward) in zip(bundle.sessions, moves.tolist())
+    )
+    backward, self_count, forward = moves.sum(axis=0).tolist()
+    l3_counts = stack.pair_counts(len(model))
     return MetricSet(
         model=model,
-        effort=compute_effort(bundle, idle_cap_ms),
+        effort=_effort(bundle, stack, idle_cap_ms),
         l3_matrix=_at_level(l3_counts, model, MatrixLevel.L3, collapse_repeats),
         l2_matrix=_at_level(l3_counts, model, MatrixLevel.L2, collapse_repeats),
-        session_linearity=tuple(per_session),
+        session_linearity=per_session,
         pooled_linearity=_index_from_counts(forward, backward, self_count),
         collapse_repeats=collapse_repeats,
     )

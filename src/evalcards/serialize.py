@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from typing import Any
 
 __all__ = ["canonical_json", "fmt_float", "fmt_num", "sha256_hex"]
@@ -40,7 +41,12 @@ def fmt_num(value: Any) -> str:
     return text if text not in ("", "-") else "0"
 
 
+_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]')
+
+
 def _escape(text: str) -> str:
+    if not _NEEDS_ESCAPE.search(text):
+        return text
     out = []
     for ch in text:
         if ch == '"':

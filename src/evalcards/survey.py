@@ -313,8 +313,10 @@ def load_ratings_csv(path: str | Path) -> list[ComponentRating]:
 
 
 def load_sus_csv(path: str | Path) -> list[SusResponse]:
-    """Read SUS responses (user_id, q1..q10); malformed rows are hard errors."""
+    """Read SUS responses (user_id, q1..q10); malformed rows and a second
+    response from the same user are hard errors."""
     responses = []
+    seen: set[str] = set()
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -327,7 +329,11 @@ def load_sus_csv(path: str | Path) -> list[SusResponse]:
                 if len(row) != len(SUS_HEADER):
                     raise SurveyFormatError(f"expected {len(SUS_HEADER)} fields")
                 items = tuple(_int_field(f"q{i}", cell) for i, cell in enumerate(row[1:], 1))
-                responses.append(SusResponse(user_id=row[0].strip(), items=items))
+                response = SusResponse(user_id=row[0].strip(), items=items)
+                if response.user_id in seen:
+                    raise SurveyFormatError(f"duplicate SUS response for user {response.user_id!r}")
+                seen.add(response.user_id)
+                responses.append(response)
             except SurveyFormatError as exc:
                 raise SurveyFormatError(f"{path}: row {row_no}: {exc}") from None
     return responses

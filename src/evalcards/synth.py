@@ -27,7 +27,7 @@ from .errors import EvalCardsError
 from .serialize import canonical_json
 from .survey import ComponentRating, SusResponse
 from .taxonomy import ComponentModel
-from .telemetry import LogRecord, Session, SessionBundle, bundle_manifest, session_to_jsonl
+from .telemetry import Session, SessionBundle, bundle_manifest, session_to_jsonl
 
 __all__ = [
     "MASK64",
@@ -220,7 +220,7 @@ def _archetype_indices(model: ComponentModel, profile: SynthProfile, rng: SplitM
         return [rng.randint(0, n - 1) for _ in range(length)]
 
     assert profile.iteration_pair is not None
-    index = {c: i for i, c in enumerate(model.comp_ids)}
+    index = model.index
     missing = [c for c in profile.iteration_pair if c not in index]
     if missing:
         raise IterationPairNotInModel(
@@ -236,31 +236,31 @@ def _archetype_indices(model: ComponentModel, profile: SynthProfile, rng: SplitM
     return seq
 
 
-def _session_records(
-    model: ComponentModel, profile: SynthProfile, rng: SplitMix64, task_id: str
-) -> tuple[LogRecord, ...]:
+def _session(
+    model: ComponentModel, profile: SynthProfile, rng: SplitMix64, user_id: str, task_id: str
+) -> Session:
     components = model.components
     indices = _archetype_indices(model, profile, rng)
     ts = SESSION_BASE_MS
-    records = []
+    stamps = []
+    others = {}
     for step, idx in enumerate(indices):
         comp = components[idx]
         if step:
             ts += rng.randint(profile.dwell_min_ms, profile.dwell_max_ms)
-        other = None
+        stamps.append(ts)
         if comp.l2_id == "specify_problem":
-            other = {
+            others[step] = {
                 "parameters": {
                     "target_metric": rng.choice(("accuracy", "f1_score", "rmse")),
                     "task_type": task_id,
                 }
             }
         elif comp.l2_id == "explain_model":
-            other = {"model_viewed": f"model_{rng.randint(1, 5):02d}"}
-        records.append(
-            LogRecord(ts_ms=ts, lv1_id=comp.l1_id, lv2_id=comp.l2_id, comp_id=comp.comp_id, other=other)
-        )
-    return tuple(records)
+            others[step] = {"model_viewed": f"model_{rng.randint(1, 5):02d}"}
+    return Session(
+        user_id=user_id, task_id=task_id, model=model, ts_ms=stamps, comp_idx=indices, other=others
+    )
 
 
 # --------------------------------------------------------------------------
@@ -299,14 +299,7 @@ def generate_bundle(model: ComponentModel, profile: SynthProfile) -> SynthResult
     for user in users:
         for task in profile.tasks:
             rng = SplitMix64(session_seeds[(user, task)])
-            sessions.append(
-                Session(
-                    user_id=user,
-                    system_name=model.system_name,
-                    task_id=task,
-                    records=_session_records(model, profile, rng, task),
-                )
-            )
+            sessions.append(_session(model, profile, rng, user, task))
 
     ratings = []
     sus = []

@@ -13,7 +13,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import yaml
@@ -318,13 +320,14 @@ class ComponentModel:
     def __len__(self) -> int:
         return len(self.components)
 
-    @property
+    @cached_property
     def comp_ids(self) -> tuple[str, ...]:
         return tuple(c.comp_id for c in self.components)
 
-    @property
-    def by_id(self) -> dict[str, Component]:
-        return {c.comp_id: c for c in self.components}
+    @cached_property
+    def index(self) -> Mapping[str, int]:
+        """Position of each comp_id in canonical order."""
+        return MappingProxyType({comp_id: i for i, comp_id in enumerate(self.comp_ids)})
 
     @property
     def l2_order(self) -> tuple[str, ...]:

@@ -7,19 +7,34 @@ fields ``timestamp``, ``lv1_id``, ``lv2_id``, ``comp_id`` and an optional
 sessions. Validation is strict by default; sorting out-of-order timestamps
 and quarantining unknown components are explicit opt-ins.
 
+A :class:`Session` is columnar. ``ts_ms`` is an int64 array of record
+instants and ``comp_idx`` an int32 array of positions in the model's
+canonical order, ``model.comp_ids``. ``other`` maps the row of each record
+that carries an ``other`` payload to that payload. :func:`parse_log` checks
+each record once, in one pass that also fills these columns.
+``Session.records`` is a lazy, read-only view over the columns that builds
+one :class:`LogRecord` per row on access.
+
 Timestamps are any common ISO-8601 calendar date-time (extended or basic
 form, comma or dot fractions, ``Z`` or numeric offsets; week and ordinal
 dates are not supported). They are normalized to UTC milliseconds; offsets
-are honored and then discarded, sub-millisecond digits truncate.
+are honored and then discarded, sub-millisecond digits truncate. The
+canonical shape ``YYYY-MM-DDTHH:MM:SS.sssZ``, which ``synth`` writes and
+:func:`format_timestamp` returns, takes a strict fast path; every other form
+goes through the general pattern.
 """
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import EvalCardsError
 from .taxonomy import ComponentModel, Level1
@@ -53,6 +68,8 @@ _ISO_RE = re.compile(
     $""",
     re.VERBOSE,
 )
+# The canonical shape, ASCII digits only; see parse_timestamp.
+_CANONICAL_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3}Z")
 
 
 class TelemetryError(EvalCardsError):
@@ -104,26 +121,55 @@ class BundleLoadError(TelemetryError):
         super().__init__(f"{len(self.failures)} log file(s) failed to load:\n{lines}")
 
 
+@lru_cache(maxsize=4096)
+def _day_ms(date: str) -> int | None:
+    """Epoch ms of UTC midnight on an ASCII ``YYYY-MM-DD`` date; None if no such day."""
+    try:
+        day = datetime(int(date[:4]), int(date[5:7]), int(date[8:10]), tzinfo=timezone.utc)
+    except ValueError:
+        return None
+    return (day - _EPOCH) // _MS
+
+
 def parse_timestamp(text: str) -> int:
-    """Parse an ISO-8601 instant into UTC epoch milliseconds."""
+    """Parse an ISO-8601 instant into UTC epoch milliseconds.
+
+    A stamp of exactly the canonical shape with in-range fields is computed
+    directly. Anything else, including surrounding whitespace, lowercase
+    ``t``/``z``, non-ASCII digits and out-of-range fields, takes the general
+    path, which accepts or rejects it with the same result and message as
+    it always has.
+    """
+    if _CANONICAL_RE.fullmatch(text):
+        hour, minute, second = int(text[11:13]), int(text[14:16]), int(text[17:19])
+        if hour <= 23 and minute <= 59 and second <= 59:
+            day_ms = _day_ms(text[:10])
+            if day_ms is not None:
+                return day_ms + ((hour * 60 + minute) * 60 + second) * 1000 + int(text[20:23])
+    return _parse_iso(text)
+
+
+def _parse_iso(text: str) -> int:
+    """The general path of :func:`parse_timestamp`, for every accepted form."""
     match = _ISO_RE.match(text.strip())
     if not match:
         raise MalformedTimestamp(f"not an ISO-8601 date-time: {text!r}")
-    parts = match.groupdict()
+    year, month, day, hour, minute, second, frac, zone = match.group(
+        "year", "month", "day", "hour", "minute", "second", "frac", "zone"
+    )
     try:
         dt = datetime(
-            int(parts["year"]),
-            int(parts["month"]),
-            int(parts["day"]),
-            int(parts["hour"]),
-            int(parts["minute"]),
-            int(parts["second"] or 0),
+            int(year),
+            int(month),
+            int(day),
+            int(hour),
+            int(minute),
+            int(second or 0),
             tzinfo=timezone.utc,
         )
     except ValueError as exc:
         raise MalformedTimestamp(f"{text!r}: {exc}") from exc
 
-    zone = parts["zone"]
     offset_min = 0
     if zone and zone not in ("Z", "z"):
         sign = 1 if zone[0] == "+" else -1
@@ -134,15 +180,23 @@ def parse_timestamp(text: str) -> int:
         offset_min = sign * (hours * 60 + minutes)
 
     base_ms = (dt - _EPOCH) // _MS - offset_min * 60_000
-    frac = parts["frac"] or ""
     frac_ms = int(frac.ljust(3, "0")[:3]) if frac else 0
     return base_ms + frac_ms
 
 
+@lru_cache(maxsize=4096)
+def _day_text(day: int) -> str:
+    """``YYYY-MM-DD`` of the UTC day ``day`` days after the epoch."""
+    return f"{_EPOCH + timedelta(days=day):%Y-%m-%d}"
+
+
 def format_timestamp(ms: int) -> str:
     """Canonical UTC rendering with millisecond precision."""
-    dt = _EPOCH + timedelta(milliseconds=ms)
-    return f"{dt:%Y-%m-%dT%H:%M:%S}.{ms % 1000:03d}Z"
+    day, ms_of_day = divmod(ms, 86_400_000)
+    seconds, milli = divmod(ms_of_day, 1000)
+    minutes, second = divmod(seconds, 60)
+    hour, minute = divmod(minutes, 60)
+    return f"{_day_text(day)}T{hour:02d}:{minute:02d}:{second:02d}.{milli:03d}Z"
 
 
 @dataclass(frozen=True)
@@ -156,39 +210,105 @@ class LogRecord:
     other: Any = None
 
 
-@dataclass(frozen=True)
+class _RecordView(Sequence):
+    """A session's rows as :class:`LogRecord` objects, built on access."""
+
+    __slots__ = ("_session",)
+
+    def __init__(self, session: "Session"):
+        self._session = session
+
+    def __len__(self) -> int:
+        return len(self._session.ts_ms)
+
+    def _record(self, row: int, ts_ms: int, idx: int) -> LogRecord:
+        comp = self._session.model.components[idx]
+        return LogRecord(ts_ms, comp.l1_id, comp.l2_id, comp.comp_id, self._session.other.get(row))
+
+    def __getitem__(self, i):
+        rows = range(len(self))[i]
+        if isinstance(rows, range):
+            return tuple(self[row] for row in rows)
+        s = self._session
+        return self._record(rows, int(s.ts_ms[rows]), int(s.comp_idx[rows]))
+
+    def __iter__(self) -> Iterator[LogRecord]:
+        s = self._session
+        for row, (ts_ms, idx) in enumerate(zip(s.ts_ms.tolist(), s.comp_idx.tolist())):
+            yield self._record(row, ts_ms, idx)
+
+
+@dataclass(frozen=True, eq=False)
 class Session:
-    """Time-ordered records for one (user, task) run against one system."""
+    """Time-ordered records for one (user, task) run against one system.
+
+    ``ts_ms`` (int64) holds each record's instant and ``comp_idx`` (int32)
+    its component's position in ``model.comp_ids``; both are read-only.
+    ``other`` maps a row to its ``other`` payload, for the rows that carry
+    one. Sessions compare by value.
+    """
 
     user_id: str
-    system_name: str
     task_id: str
-    records: tuple[LogRecord, ...]
+    model: ComponentModel = field(repr=False)
+    ts_ms: np.ndarray
+    comp_idx: np.ndarray
+    other: Mapping[int, Any] = field(default_factory=dict)
     quarantined: tuple[Mapping, ...] = ()
 
     def __post_init__(self):
-        if not self.records:
+        ts = np.asarray(self.ts_ms, dtype=np.int64)
+        idx = np.asarray(self.comp_idx, dtype=np.int32)
+        if ts.ndim != 1 or ts.shape != idx.shape:
+            raise TelemetryError(
+                f"session {self.user_id}/{self.task_id}: ts_ms {ts.shape} and "
+                f"comp_idx {idx.shape} must be equal-length vectors"
+            )
+        if not len(ts):
             raise EmptyLog(f"session {self.user_id}/{self.task_id} has no records")
-        ts = [r.ts_ms for r in self.records]
-        if any(b < a for a, b in zip(ts, ts[1:])):
+        if (np.diff(ts) < 0).any():
             raise NonMonotonicTimestamps(
                 f"session {self.user_id}/{self.task_id} has decreasing timestamps"
             )
+        ts.flags.writeable = False
+        idx.flags.writeable = False
+        object.__setattr__(self, "ts_ms", ts)
+        object.__setattr__(self, "comp_idx", idx)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Session):
+            return NotImplemented
+        return (
+            (self.user_id, self.task_id, self.model, self.other, self.quarantined)
+            == (other.user_id, other.task_id, other.model, other.other, other.quarantined)
+            and np.array_equal(self.ts_ms, other.ts_ms)
+            and np.array_equal(self.comp_idx, other.comp_idx)
+        )
+
+    @property
+    def system_name(self) -> str:
+        return self.model.system_name
+
+    @property
+    def records(self) -> Sequence[LogRecord]:
+        """Read-only view of the rows, one :class:`LogRecord` per record."""
+        return _RecordView(self)
 
     @property
     def start_ms(self) -> int:
-        return self.records[0].ts_ms
+        return int(self.ts_ms[0])
 
     @property
     def end_ms(self) -> int:
-        return self.records[-1].ts_ms
+        return int(self.ts_ms[-1])
 
     @property
     def span_ms(self) -> int:
         return self.end_ms - self.start_ms
 
     def comp_sequence(self) -> tuple[str, ...]:
-        return tuple(r.comp_id for r in self.records)
+        comp_ids = self.model.comp_ids
+        return tuple(comp_ids[i] for i in self.comp_idx.tolist())
 
 
 @dataclass(frozen=True)
@@ -207,7 +327,7 @@ class SessionBundle:
             if key in seen:
                 raise DuplicateUserTask(f"duplicate session for user/task {key}")
             seen.add(key)
-            if session.system_name != self.model.system_name:
+            if session.model is not self.model and session.model != self.model:
                 raise HierarchyMismatch(
                     f"session for system {session.system_name!r} bundled with "
                     f"model {self.model.system_name!r}"
@@ -225,52 +345,9 @@ class SessionBundle:
         return tuple(sorted({s.task_id for s in self.sessions}))
 
 
-def _check_record(record: LogRecord, by_id: Mapping[str, Any]) -> None:
-    comp = by_id[record.comp_id]  # parse_log has set unknown components aside
-    if record.lv1_id is not comp.l1_id or record.lv2_id != comp.l2_id:
-        raise HierarchyMismatch(
-            f"record names ({record.lv1_id.value!r}, {record.lv2_id!r}) for "
-            f"comp_id {record.comp_id!r}, but the model has "
-            f"({comp.l1_id.value!r}, {comp.l2_id!r})"
-        )
-    if record.other is not None and comp.l2_id not in OTHER_ALLOWED_L2:
-        raise UnexpectedOtherPayload(
-            f"comp_id {record.comp_id!r} (level-2 {comp.l2_id!r}) carries an "
-            f"'other' payload; only {OTHER_ALLOWED_L2} components may"
-        )
-
-
-_RECORD_FIELDS = {"timestamp", "lv1_id", "lv2_id", "comp_id", "other"}
-
-
-def _parse_line(line: str, line_no: int) -> LogRecord:
-    try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(f"line {line_no}: not valid JSON ({exc.msg})") from exc
-    if not isinstance(raw, dict):
-        raise MalformedRecord(f"line {line_no}: record must be a JSON object")
-    unknown = set(raw) - _RECORD_FIELDS
-    if unknown:
-        raise MalformedRecord(f"line {line_no}: unknown fields {sorted(unknown)}")
-    missing = {"timestamp", "lv1_id", "lv2_id", "comp_id"} - set(raw)
-    if missing:
-        raise MalformedRecord(f"line {line_no}: missing fields {sorted(missing)}")
-    try:
-        ts_ms = parse_timestamp(str(raw["timestamp"]))
-    except MalformedTimestamp as exc:
-        raise MalformedTimestamp(f"line {line_no}: {exc}") from exc
-    try:
-        lv1 = Level1.parse(raw["lv1_id"])
-    except EvalCardsError:
-        raise MalformedRecord(f"line {line_no}: unknown lv1_id {raw['lv1_id']!r}") from None
-    return LogRecord(
-        ts_ms=ts_ms,
-        lv1_id=lv1,
-        lv2_id=str(raw["lv2_id"]),
-        comp_id=str(raw["comp_id"]),
-        other=raw.get("other"),
-    )
+_LEVEL1 = {level.value: level for level in Level1}
+_RECORD_FIELDS = frozenset({"timestamp", "lv1_id", "lv2_id", "comp_id", "other"})
+_REQUIRED_FIELDS = frozenset({"timestamp", "lv1_id", "lv2_id", "comp_id"})
 
 
 def parse_log(
@@ -284,39 +361,87 @@ def parse_log(
 ) -> Session:
     """Parse one line-delimited log into a validated :class:`Session`.
 
-    With ``sort_timestamps``, out-of-order records are stably sorted by
-    timestamp; otherwise decreasing timestamps are rejected. With
-    ``allow_unknown_components``, records naming components outside the
-    model are quarantined on the session instead of failing the parse.
+    Each record is checked once, in this order: JSON, fields, timestamp,
+    ``lv1_id``, unknown component, hierarchy, ``other`` payload. Every
+    error names the line. With ``sort_timestamps``, out-of-order records
+    are stably sorted by timestamp; otherwise decreasing timestamps are
+    rejected. With ``allow_unknown_components``, records naming components
+    outside the model are quarantined on the session instead of failing
+    the parse.
     """
     lines = stream.splitlines() if isinstance(stream, str) else stream
-    by_id = model.by_id
-    records: list[LogRecord] = []
+    index = model.index
+    components = model.components
+    parse = parse_timestamp
+    ts_list: list[int] = []
+    idx_list: list[int] = []
+    others: dict[int, Any] = {}
     quarantined: list[dict] = []
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        record = _parse_line(line, line_no)
-        if record.comp_id not in by_id:
-            if allow_unknown_components:
-                quarantined.append({"line": line_no, "record": json.loads(line)})
-                continue
-            raise UnknownComponent(
-                f"line {line_no}: comp_id {record.comp_id!r} is not in model "
-                f"{model.system_name!r}"
-            )
-        _check_record(record, by_id)
-        records.append(record)
+        try:
+            try:
+                raw = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(f"not valid JSON ({exc.msg})") from exc
+            if not isinstance(raw, dict):
+                raise MalformedRecord("record must be a JSON object")
+            if not raw.keys() <= _RECORD_FIELDS:
+                raise MalformedRecord(f"unknown fields {sorted(set(raw) - _RECORD_FIELDS)}")
+            if not raw.keys() >= _REQUIRED_FIELDS:
+                raise MalformedRecord(f"missing fields {sorted(_REQUIRED_FIELDS - set(raw))}")
+            ts_ms = parse(str(raw["timestamp"]))
+            lv1 = _LEVEL1.get(str(raw["lv1_id"]).strip().lower())
+            if lv1 is None:
+                raise MalformedRecord(f"unknown lv1_id {raw['lv1_id']!r}")
+            comp_id = str(raw["comp_id"])
+            idx = index.get(comp_id)
+            if idx is None:
+                if allow_unknown_components:
+                    quarantined.append({"line": line_no, "record": raw})
+                    continue
+                raise UnknownComponent(
+                    f"comp_id {comp_id!r} is not in model {model.system_name!r}"
+                )
+            comp = components[idx]
+            lv2 = str(raw["lv2_id"])
+            if lv1 is not comp.l1_id or lv2 != comp.l2_id:
+                raise HierarchyMismatch(
+                    f"record names ({lv1.value!r}, {lv2!r}) for comp_id {comp_id!r}, "
+                    f"but the model has ({comp.l1_id.value!r}, {comp.l2_id!r})"
+                )
+            other = raw.get("other")
+            if other is not None:
+                if comp.l2_id not in OTHER_ALLOWED_L2:
+                    raise UnexpectedOtherPayload(
+                        f"comp_id {comp_id!r} (level-2 {comp.l2_id!r}) carries an "
+                        f"'other' payload; only {OTHER_ALLOWED_L2} components may"
+                    )
+                others[len(ts_list)] = other
+        except TelemetryError as exc:
+            raise type(exc)(f"line {line_no}: {exc}") from exc
+        ts_list.append(ts_ms)
+        idx_list.append(idx)
 
-    if not records:
+    if not ts_list:
         raise EmptyLog(f"log for {user_id}/{task_id} contains no records")
+    ts_ms = np.array(ts_list, dtype=np.int64)
+    comp_idx = np.array(idx_list, dtype=np.int32)
     if sort_timestamps:
-        records.sort(key=lambda r: r.ts_ms)  # stable: preserves input order on ties
+        order = np.argsort(ts_ms, kind="stable")  # stable: preserves input order on ties
+        ts_ms, comp_idx = ts_ms[order], comp_idx[order]
+        if others:
+            row_of = np.empty_like(order)
+            row_of[order] = np.arange(len(order))
+            others = {int(row_of[row]): other for row, other in others.items()}
     return Session(
         user_id=user_id,
-        system_name=model.system_name,
         task_id=task_id,
-        records=tuple(records),
+        model=model,
+        ts_ms=ts_ms,
+        comp_idx=comp_idx,
+        other=others,
         quarantined=tuple(quarantined),
     )
 

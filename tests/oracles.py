@@ -65,3 +65,16 @@ def oracle_pair_counts(sequences, order):
         ]
         for src in order
     ]
+
+
+def oracle_attribute_time(records, idle_cap_ms):
+    """Per-record loop: each gap, truncated to the cap, goes to the earlier
+    record's component; the last record's component gets at least 0."""
+    out = {}
+    for current, nxt in zip(records, records[1:]):
+        gap = nxt.ts_ms - current.ts_ms
+        if idle_cap_ms is not None and gap > idle_cap_ms:
+            gap = idle_cap_ms
+        out[current.comp_id] = out.get(current.comp_id, 0) + gap
+    out.setdefault(records[-1].comp_id, 0)
+    return out

@@ -221,19 +221,23 @@ RATINGS_CSV_HEADER = "user_id,comp_id,efficiency,effectiveness\n"
 
 
 @pytest.mark.parametrize(
-    "name, text",
+    "name, text, row",
     [
-        ("ratings.csv", RATINGS_CSV_HEADER + "u01,open_dataset,3\n"),
-        ("ratings.csv", RATINGS_CSV_HEADER + "u01,open_dataset,four,5\n"),
-        ("ratings.csv", RATINGS_CSV_HEADER + "u01,open_dataset,9,5\n"),
-        ("sus.csv", SUS_CSV_HEADER + "u01,3,3\n"),
-        ("sus.csv", SUS_CSV_HEADER + "u01,3,x,3,3,3,3,3,3,3,3\n"),
-        ("sus.csv", SUS_CSV_HEADER + "u01,3,3,3,3,9,3,3,3,3,3\n"),
+        ("ratings.csv", RATINGS_CSV_HEADER + "u01,open_dataset,3\n", 2),
+        ("ratings.csv", RATINGS_CSV_HEADER + "u01,open_dataset,four,5\n", 2),
+        ("ratings.csv", RATINGS_CSV_HEADER + "u01,open_dataset,9,5\n", 2),
+        ("sus.csv", SUS_CSV_HEADER + "u01,3,3\n", 2),
+        ("sus.csv", SUS_CSV_HEADER + "u01,3,x,3,3,3,3,3,3,3,3\n", 2),
+        ("sus.csv", SUS_CSV_HEADER + "u01,3,3,3,3,9,3,3,3,3,3\n", 2),
+        ("sus.csv", SUS_CSV_HEADER + "u01,3,3,3,3,3,3,3,3,3,3\n" + "u01,4,4,4,4,4,4,4,4,4,4\n", 3),
     ],
-    ids=["ratings-short", "ratings-not-int", "ratings-range", "sus-short", "sus-not-int", "sus-range"],
+    ids=[
+        "ratings-short", "ratings-not-int", "ratings-range",
+        "sus-short", "sus-not-int", "sus-range", "sus-duplicate-user",
+    ],
 )
 def test_analyze_bad_survey_row_names_file_and_row_once(
-    tmp_path, visus_config, profile_file, capsys, name, text
+    tmp_path, visus_config, profile_file, capsys, name, text, row
 ):
     fixture_dir = tmp_path / "fixture"
     assert run(["synth", "--taxonomy", visus_config, "--profile", profile_file, "--out", fixture_dir]) == 0
@@ -251,7 +255,8 @@ def test_analyze_bad_survey_row_names_file_and_row_once(
     assert code == 2
     err = capsys.readouterr().err
     assert err.count(str(csv_path)) == 1
-    assert err.count("row 2") == 1
+    assert err.count(f"row {row}") == 1
+    assert err.count("row ") == 1
 
 
 def test_parse_duration_ms():

@@ -16,9 +16,9 @@ from evalcards.metrics import (
 )
 from evalcards.synth import Archetype, SplitMix64, SynthProfile, generate_bundle
 from evalcards.taxonomy import ResolutionAction, resolve_model
-from evalcards.telemetry import LogRecord, Session, SessionBundle, parse_timestamp
+from evalcards.telemetry import Session, SessionBundle, parse_timestamp
 
-from oracles import oracle_pair_counts
+from oracles import oracle_attribute_time, oracle_linearity_counts, oracle_pair_counts
 
 REFERENCE_KEYS = [
     "open_dataset",
@@ -44,12 +44,8 @@ def visus_model():
 
 
 def make_session(model, comp_ids, times_ms, user_id="u1", task_id="t"):
-    by_id = model.by_id
-    records = tuple(
-        LogRecord(ts_ms=ts, lv1_id=by_id[c].l1_id, lv2_id=by_id[c].l2_id, comp_id=c)
-        for c, ts in zip(comp_ids, times_ms)
-    )
-    return Session(user_id=user_id, system_name=model.system_name, task_id=task_id, records=records)
+    comp_idx = [model.index[c] for c in comp_ids]
+    return Session(user_id=user_id, task_id=task_id, model=model, ts_ms=times_ms, comp_idx=comp_idx)
 
 
 def random_bundle(model, n_users=8, seed=99, archetype=Archetype.NONLINEAR):
@@ -334,6 +330,50 @@ def test_metrics_are_invariant_under_session_order(visus_model):
     assert sorted(s.user_id for s in a.session_linearity) == sorted(
         s.user_id for s in b.session_linearity
     )
+
+
+@pytest.mark.parametrize("idle_cap_ms", [None, 10 * 60 * 1000, 0])
+def test_metric_set_matches_per_record_loops(visus_model, idle_cap_ms):
+    bundle = random_bundle(visus_model, n_users=6, seed=58)
+    order = visus_model.comp_ids
+    metric_set = compute_metric_set(bundle, idle_cap_ms=idle_cap_ms)
+    effort = metric_set.effort
+    totals = {c: 0 for c in order}
+    visits = {c: 0 for c in order}
+    pooled = [0, 0, 0]
+    for session, row, lin in zip(bundle.sessions, effort.per_session, metric_set.session_linearity):
+        records = list(session.records)
+        expected = oracle_attribute_time(records, idle_cap_ms)
+        assert attribute_time(session, idle_cap_ms) == expected
+        assert list(attribute_time(session, idle_cap_ms)) == list(expected)  # key order too
+        assert row.per_comp_ms == {c: expected.get(c, 0) for c in order}
+        for c, ms in row.per_comp_ms.items():
+            totals[c] += ms
+        for r in records:
+            visits[r.comp_id] += 1
+        counts = oracle_linearity_counts(session.comp_sequence(), order)
+        assert (lin.index.forward_count, lin.index.backward_count, lin.index.self_count) == counts
+        assert linearity(session, order) == lin.index
+        pooled = [a + b for a, b in zip(pooled, counts)]
+    assert effort.totals_ms == totals
+    assert effort.visit_counts == visits
+    pooled_index = metric_set.pooled_linearity
+    assert [pooled_index.forward_count, pooled_index.backward_count, pooled_index.self_count] == pooled
+    # every count reaches the export as a Python int
+    assert all(type(v) is int for row in effort.per_session for v in row.per_comp_ms.values())
+    assert all(type(v) is int for v in (*effort.totals_ms.values(), *effort.visit_counts.values()))
+
+
+def test_linearity_of_session_in_another_order(visus_model):
+    bundle = random_bundle(visus_model, n_users=3, seed=59)
+    order = list(reversed(visus_model.comp_ids[:4])) + list(visus_model.comp_ids[4:])
+    for session in bundle.sessions:
+        index = linearity(session, order)
+        counts = oracle_linearity_counts(session.comp_sequence(), order)
+        assert (index.forward_count, index.backward_count, index.self_count) == counts
+    session = bundle.sessions[0]
+    with pytest.raises(ComponentNotInOrder, match=session.comp_sequence()[0]):
+        linearity(session, [c for c in order if c != session.comp_sequence()[0]])
 
 
 def test_metric_set_records_options(visus_model):

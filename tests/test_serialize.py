@@ -2,6 +2,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from evalcards.serialize import canonical_json, fmt_float, fmt_num, sha256_hex
@@ -42,6 +43,8 @@ def test_unserializable_types_rejected():
         canonical_json({"v": object()})
     with pytest.raises(TypeError):
         canonical_json({1: "non-string key"})
+    with pytest.raises(TypeError):  # numpy scalars must be converted before export
+        canonical_json({"v": np.int64(1)})
 
 
 def test_string_escapes():
@@ -70,3 +73,19 @@ def test_fmt_num_trims_exactly():
 def test_sha256_hex():
     assert sha256_hex("") == sha256_hex(b"")
     assert len(sha256_hex("abc")) == 64
+
+
+def test_escape_pins_every_control_character_quote_and_backslash():
+    named = {"\t": "\\t", "\n": "\\n", "\r": "\\r"}
+    for code in range(0x20):
+        ch = chr(code)
+        escaped = named.get(ch, f"\\u{code:04x}")
+        assert canonical_json(ch) == f'"{escaped}"\n'
+        assert canonical_json(f"a{ch}b") == f'"a{escaped}b"\n'
+    # not the \b and \f forms json.dumps writes
+    assert canonical_json("\b\f") == '"\\u0008\\u000c"\n'
+    assert canonical_json('"') == '"\\""\n'
+    assert canonical_json("\\") == '"\\\\"\n'
+    assert canonical_json({'k"\\\x1f': 'v"\\\x00'}) == '{\n  "k\\"\\\\\\u001f": "v\\"\\\\\\u0000"\n}\n'
+    # text with nothing to escape is written as it is, non-ASCII included
+    assert canonical_json("plain é — \x7f \u2028") == '"plain é — \x7f \u2028"\n'

@@ -1,7 +1,11 @@
 """Log parsing, timestamp normalization, and bundle loading."""
 import json
+from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from evalcards import telemetry
 from evalcards.fixtures import fixture_model
@@ -91,11 +95,79 @@ def test_parse_timestamp_rejects_garbage(text):
         parse_timestamp(text)
 
 
+_EDGE_FIELDS = {
+    "year": st.sampled_from([0, 1, 1970, 2000, 2023, 2024, 2100, 9999]) | st.integers(0, 9999),
+    "month": st.sampled_from([0, 1, 2, 12, 13, 99]) | st.integers(0, 99),
+    "day": st.sampled_from([0, 1, 28, 29, 30, 31, 32, 99]) | st.integers(0, 99),
+    "hour": st.sampled_from([0, 23, 24, 99]) | st.integers(0, 99),
+    "minute": st.sampled_from([0, 59, 60, 99]) | st.integers(0, 99),
+    "second": st.sampled_from([0, 59, 60, 99]) | st.integers(0, 99),
+    "ms": st.integers(0, 999),
+}
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+@st.composite
+def canonical_shaped(draw):
+    """Strings of the canonical shape, with out-of-range fields, and variants
+    that leave the shape: lowercase t/z, whitespace, non-ASCII digits."""
+    f = {name: draw(strategy) for name, strategy in _EDGE_FIELDS.items()}
+    text = (
+        f"{f['year']:04d}-{f['month']:02d}-{f['day']:02d}T"
+        f"{f['hour']:02d}:{f['minute']:02d}:{f['second']:02d}.{f['ms']:03d}Z"
+    )
+    variant = draw(st.sampled_from(["as-is", "as-is", "as-is", "lower-z", "lower-t", "spaces", "non-ascii"]))
+    if variant == "lower-z":
+        text = text[:-1] + "z"
+    elif variant == "lower-t":
+        text = text[:10] + "t" + text[11:]
+    elif variant == "spaces":
+        text = draw(st.sampled_from([" ", "\t", "\n"])) + text + draw(st.sampled_from(["", " ", "\n"]))
+    elif variant == "non-ascii":
+        text = text.translate(_ARABIC_INDIC)
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except MalformedTimestamp as exc:
+        return ("MalformedTimestamp", str(exc))
+
+
+@given(canonical_shaped())
+@example("2024-13-01T00:00:00.000Z")  # month 13
+@example("2024-01-32T00:00:00.000Z")  # day 32
+@example("2023-02-29T00:00:00.000Z")  # 29 Feb, not a leap year
+@example("2024-02-29T23:59:59.999Z")  # 29 Feb, a leap year
+@example("2024-01-01T24:00:00.000Z")  # hour 24
+@example("2024-01-01T00:60:00.000Z")  # minute 60
+@example("2024-01-01T00:00:60.000Z")  # second 60
+@example("0000-01-01T00:00:00.000Z")  # year 0
+@example("\u0662\u0660\u0662\u0664-01-01T00:00:00.000Z")  # non-ASCII digits
+@example("2024-01-01T00:00:00.000z")  # lowercase z
+@example(" 2024-01-01T00:00:00.000Z\n")  # surrounding whitespace
+def test_canonical_fast_path_agrees_with_general_path(text):
+    assert _outcome(parse_timestamp, text) == _outcome(telemetry._parse_iso, text)
+
+
 def test_format_timestamp_canonical_and_round_trips():
     ms = parse_timestamp("2024-06-15T09:30:00.042+02:00")
     text = format_timestamp(ms)
     assert text == "2024-06-15T07:30:00.042Z"
     assert parse_timestamp(text) == ms
+
+
+@given(st.integers(-62_135_596_800_000, 253_402_300_799_999))
+@example(-1)  # the last millisecond before the epoch
+@example(0)
+@example(951_782_400_000)  # 2000-02-29, a leap day
+def test_format_timestamp_matches_datetime_and_round_trips(ms):
+    dt = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(milliseconds=ms)
+    text = format_timestamp(ms)
+    assert text == f"{dt:%Y-%m-%dT%H:%M:%S}.{ms % 1000:03d}Z"
+    if dt.year >= 1000:  # four-digit years are the canonical shape
+        assert parse_timestamp(text) == ms
 
 
 # --------------------------------------------------------------------------
@@ -198,6 +270,37 @@ def test_sorting_is_stable_on_equal_timestamps(identity_model):
     assert session.comp_sequence() == ("explore_dataset", "specify_problem", "open_dataset")
 
 
+def test_session_columns_and_records_view(visus_model):
+    text = "\n".join(
+        [
+            line("2024-01-01T00:02:00Z", "model", "explain_model", "see_pdp", other={"model_viewed": "m1"}),
+            line("2024-01-01T00:00:00Z", "data", "open_dataset", "open_dataset"),
+            line("2024-01-01T00:01:00Z", "problem", "specify_problem", "select_target_metric",
+                 other={"parameters": {"target_metric": "rmse"}}),
+        ]
+    )
+    session = parse_log(text, visus_model, user_id="u1", task_id="t", sort_timestamps=True)
+    assert session.ts_ms.dtype == np.int64 and session.comp_idx.dtype == np.int32
+    assert session.ts_ms.tolist() == [1_704_067_200_000 + k * 60_000 for k in range(3)]
+    order = visus_model.comp_ids
+    assert [order[i] for i in session.comp_idx.tolist()] == ["open_dataset", "select_target_metric", "see_pdp"]
+    # the payloads moved with their records
+    assert session.other == {1: {"parameters": {"target_metric": "rmse"}}, 2: {"model_viewed": "m1"}}
+    with pytest.raises(ValueError):
+        session.ts_ms[0] = 0  # the columns are read-only
+
+    records = session.records
+    assert len(records) == 3
+    assert [r.comp_id for r in records] == list(session.comp_sequence())
+    assert records[-1] == records[2] == list(records)[2]
+    assert records[-1].other == {"model_viewed": "m1"}
+    assert records[-1].lv2_id == "explain_model" and records[0].other is None
+    assert records[1:] == tuple(records)[1:]
+    assert isinstance(records[0].ts_ms, int)
+    with pytest.raises(IndexError):
+        records[3]
+
+
 def test_sorting_makes_result_independent_of_arrival_order(identity_model):
     lines = [
         line("2024-01-01T00:00:00Z", "data", "open_dataset", "open_dataset"),
@@ -219,6 +322,8 @@ def test_sorting_makes_result_independent_of_arrival_order(identity_model):
         ('{"timestamp": "nope", "lv1_id": "data", "lv2_id": "open_dataset", "comp_id": "open_dataset"}', MalformedTimestamp),
         ('{"timestamp": "2024-01-01T00:00:00Z", "lv1_id": "data", "lv2_id": "open_dataset", "comp_id": "open_dataset", "extra": 1}', MalformedRecord),
         ('{"timestamp": "2024-01-01T00:00:00Z", "lv1_id": "galaxy", "lv2_id": "open_dataset", "comp_id": "open_dataset"}', MalformedRecord),
+        ('{"timestamp": "2024-01-01T00:00:00Z", "lv1_id": "model", "lv2_id": "open_dataset", "comp_id": "open_dataset"}', HierarchyMismatch),
+        ('{"timestamp": "2024-01-01T00:00:00Z", "lv1_id": "data", "lv2_id": "open_dataset", "comp_id": "open_dataset", "other": {"x": 1}}', UnexpectedOtherPayload),
     ],
 )
 def test_malformed_lines_report_line_numbers(identity_model, bad, err):
@@ -299,11 +404,13 @@ def test_duplicate_user_task_rejected(tmp_path, identity_model):
     bundle = load_bundle(tmp_path, identity_model)
     assert len(bundle) == 1
 
+    first = bundle.sessions[0]
     dup = Session(
         user_id="u1",
-        system_name="identity",
         task_id="t",
-        records=bundle.sessions[0].records,
+        model=identity_model,
+        ts_ms=first.ts_ms,
+        comp_idx=first.comp_idx,
     )
     with pytest.raises(DuplicateUserTask):
         SessionBundle(model=identity_model, sessions=(bundle.sessions[0], dup))
@@ -324,12 +431,15 @@ def test_bundle_construction_revalidates_sessions(identity_model, visus_model):
 
 def test_load_bundle_checks_each_record_once(tmp_path, visus_model, monkeypatch):
     synth_tree(tmp_path, visus_model)
+    # every record passes the fused check, and so its timestamp check, once
     checked = []
-    check = telemetry._check_record
+    check = telemetry.parse_timestamp
     monkeypatch.setattr(
-        telemetry, "_check_record", lambda record, by_id: checked.append(record) or check(record, by_id)
+        telemetry, "parse_timestamp", lambda text: checked.append(text) or check(text)
     )
     bundle = load_bundle(tmp_path / "logs", visus_model)
+    assert len(checked) == sum(len(s.records) for s in bundle.sessions)
+    SessionBundle(model=visus_model, sessions=bundle.sessions)
     assert len(checked) == sum(len(s.records) for s in bundle.sessions)
 
 
