@@ -189,16 +189,24 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _load_export(path: Path) -> dict:
+def _load_export(path: Path) -> tuple[dict, str]:
+    """Read, decode and validate one export; return it with its sha256."""
+    data = path.read_bytes()
+    digest = sha256_hex(data)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: byte {exc.start}: not valid UTF-8") from exc
+    del data  # only the text is alive while json.loads builds the document
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: not valid JSON ({exc.msg})") from exc
     try:
         validate_export(doc)
     except EvalCardsError as exc:
         raise CliError(f"{path}: {exc}") from exc
-    return doc
+    return doc, digest
 
 
 def _safe_filename(name: str) -> str:
@@ -211,7 +219,7 @@ def cmd_render(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     seen: dict[str, Path] = {}
     for export_path in map(Path, args.exports):
-        export = _load_export(export_path)
+        export, digest = _load_export(export_path)
         name = export["system_name"]
         if name in seen:
             raise CliError(
@@ -220,20 +228,19 @@ def cmd_render(args) -> int:
         seen[name] = export_path
         html = render_within_export(export, log_scale=args.log_scale)
         target = out_dir / f"{_safe_filename(name)}.cards.html"
-        _write_report(
-            target, html, {export_path.name: sha256_hex(export_path.read_bytes())}, args.force
-        )
+        _write_report(target, html, {export_path.name: digest}, args.force)
         print(f"{name}: wrote {target}")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
     paths = [Path(p) for p in args.exports]
-    exports = [_load_export(p) for p in paths]
+    loaded = [_load_export(p) for p in paths]
+    exports = [export for export, _ in loaded]
     html = render_between(exports, log_scale=args.log_scale)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    inputs = {p.name: sha256_hex(p.read_bytes()) for p in paths}
+    inputs = {p.name: digest for p, (_, digest) in zip(paths, loaded)}
     _write_report(out, html, inputs, args.force)
     names = sorted(e["system_name"] for e in exports)
     print(f"compared {', '.join(names)} -> {out}")

@@ -21,7 +21,6 @@ from typing import Iterable, Mapping, Sequence
 import yaml
 
 from .errors import EvalCardsError
-from .serialize import canonical_json
 
 __all__ = [
     "Level1",
@@ -372,15 +371,6 @@ class ComponentModel:
             return cls(system_name=str(data["system_name"]), components=components)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed component model document: {exc}") from exc
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "ComponentModel":
-        import json
-
-        return cls.from_dict(json.loads(text))
 
 
 def resolve_model(system_name: str, actions: Sequence[ResolutionAction]) -> ComponentModel:

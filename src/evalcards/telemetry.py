@@ -22,6 +22,14 @@ are honored and then discarded, sub-millisecond digits truncate. The
 canonical shape ``YYYY-MM-DDTHH:MM:SS.sssZ``, which ``synth`` writes and
 :func:`format_timestamp` returns, takes a strict fast path; every other form
 goes through the general pattern.
+
+Writing runs on the columns too. :func:`session_to_jsonl` formats all of a
+session's stamps in one ``np.datetime_as_string`` call, and builds each
+line from a per-component prefix (dumped once per model), the row's
+``other`` payload if it has one, and the stamp. The bytes are those of
+``json.dumps(record, sort_keys=True)`` for each record. :func:`format_timestamp`
+uses the same formatter, so every written year has four digits, and
+instants outside years 1 to 9999 raise :class:`OverflowError`.
 """
 from __future__ import annotations
 
@@ -47,7 +55,6 @@ __all__ = [
     "load_bundle",
     "parse_timestamp",
     "format_timestamp",
-    "record_to_dict",
     "session_to_jsonl",
     "bundle_manifest",
 ]
@@ -184,19 +191,27 @@ def _parse_iso(text: str) -> int:
     return base_ms + frac_ms
 
 
-@lru_cache(maxsize=4096)
-def _day_text(day: int) -> str:
-    """``YYYY-MM-DD`` of the UTC day ``day`` days after the epoch."""
-    return f"{_EPOCH + timedelta(days=day):%Y-%m-%d}"
+# Years 1 through 9999: the instants a four-digit year can spell.
+_MIN_MS = -62_135_596_800_000  # 0001-01-01T00:00:00.000Z
+_MAX_MS = 253_402_300_799_999  # 9999-12-31T23:59:59.999Z
+
+
+def _format_stamps(ts_ms: np.ndarray) -> list[str]:
+    """``YYYY-MM-DDTHH:MM:SS.sss`` of int64 epoch milliseconds, in one numpy
+    call; a canonical stamp is this text plus ``Z``."""
+    if len(ts_ms) and (ts_ms.min() < _MIN_MS or ts_ms.max() > _MAX_MS):
+        raise OverflowError(
+            f"timestamp outside years 1-9999: {int(ts_ms.min())}..{int(ts_ms.max())} ms"
+        )
+    return np.datetime_as_string(ts_ms.astype("datetime64[ms]"), unit="ms").tolist()
 
 
 def format_timestamp(ms: int) -> str:
-    """Canonical UTC rendering with millisecond precision."""
-    day, ms_of_day = divmod(ms, 86_400_000)
-    seconds, milli = divmod(ms_of_day, 1000)
-    minutes, second = divmod(seconds, 60)
-    hour, minute = divmod(minutes, 60)
-    return f"{_day_text(day)}T{hour:02d}:{minute:02d}:{second:02d}.{milli:03d}Z"
+    """Canonical UTC rendering with millisecond precision and a 4-digit year.
+
+    Raises :class:`OverflowError` outside years 1 through 9999.
+    """
+    return _format_stamps(np.array([ms], dtype=np.int64))[0] + "Z"
 
 
 @dataclass(frozen=True)
@@ -244,8 +259,8 @@ class Session:
 
     ``ts_ms`` (int64) holds each record's instant and ``comp_idx`` (int32)
     its component's position in ``model.comp_ids``; both are read-only.
-    ``other`` maps a row to its ``other`` payload, for the rows that carry
-    one. Sessions compare by value.
+    ``other`` maps a row (0 to ``len(ts_ms) - 1``) to its ``other`` payload,
+    for the rows that carry one. Sessions compare by value.
     """
 
     user_id: str
@@ -269,6 +284,11 @@ class Session:
         if (np.diff(ts) < 0).any():
             raise NonMonotonicTimestamps(
                 f"session {self.user_id}/{self.task_id} has decreasing timestamps"
+            )
+        if self.other and not (min(self.other) >= 0 and max(self.other) < len(ts)):
+            raise TelemetryError(
+                f"session {self.user_id}/{self.task_id}: 'other' rows must lie in "
+                f"0..{len(ts) - 1}, got {sorted(self.other)}"
             )
         ts.flags.writeable = False
         idx.flags.writeable = False
@@ -446,6 +466,19 @@ def parse_log(
     )
 
 
+def _utf8_error(data: bytes) -> str:
+    """Name the first byte of ``data`` that is not valid UTF-8.
+
+    A text stream reports offsets within the chunk it was decoding, so the
+    whole file is decoded again to find the offset in the file.
+    """
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"byte {exc.start}: not valid UTF-8"
+    return "not valid UTF-8"
+
+
 def load_bundle(
     directory: str | Path,
     model: ComponentModel,
@@ -455,9 +488,9 @@ def load_bundle(
 ) -> SessionBundle:
     """Load every ``<user>_<task>.jsonl`` file under ``directory``.
 
-    Per-file parse failures are collected and raised together as one
-    :class:`BundleLoadError`; duplicate (user, task) pairs and an empty
-    directory fail immediately.
+    Per-file parse failures, bytes that are not UTF-8 among them, are
+    collected and raised together as one :class:`BundleLoadError`;
+    duplicate (user, task) pairs and an empty directory fail immediately.
     """
     directory = Path(directory)
     paths = sorted(directory.glob("*.jsonl"))
@@ -493,6 +526,8 @@ def load_bundle(
                 )
         except TelemetryError as exc:
             failures.append((path.name, str(exc)))
+        except UnicodeDecodeError:
+            failures.append((path.name, _utf8_error(path.read_bytes())))
     if failures:
         raise BundleLoadError(failures)
 
@@ -505,25 +540,40 @@ def load_bundle(
 # --------------------------------------------------------------------------
 
 
-def record_to_dict(record: LogRecord) -> dict:
-    out = {
-        "timestamp": format_timestamp(record.ts_ms),
-        "lv1_id": record.lv1_id.value,
-        "lv2_id": record.lv2_id,
-        "comp_id": record.comp_id,
-    }
-    if record.other is not None:
-        out["other"] = record.other
-    return out
+# json.dumps(obj, sort_keys=True) without building an encoder per call.
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
+@lru_cache(maxsize=16)
+def _line_prefixes(model: ComponentModel) -> tuple[str, ...]:
+    """Per component, the start of its log lines: every key before ``other``."""
+    return tuple(
+        _encode_sorted({"comp_id": c.comp_id, "lv1_id": c.l1_id.value, "lv2_id": c.l2_id})[:-1]
+        + ", "
+        for c in model.components
+    )
 
 
 def session_to_jsonl(session: Session) -> str:
-    lines = [json.dumps(record_to_dict(r), sort_keys=True) for r in session.records]
-    return "\n".join(lines) + "\n"
+    """One JSON object per record, keys sorted, ``\\n`` after every line.
+
+    A line is its component's prefix, then ``other`` if the row has a
+    payload, then the timestamp: the bytes of ``json.dumps(record,
+    sort_keys=True)``.
+    """
+    prefixes = _line_prefixes(session.model)
+    heads = [prefixes[i] for i in session.comp_idx.tolist()]
+    for row, payload in session.other.items():
+        heads[row] += f'"other": {_encode_sorted(payload)}, '
+    stamps = _format_stamps(session.ts_ms)
+    return "".join([f'{head}"timestamp": "{stamp}Z"}}\n' for head, stamp in zip(heads, stamps)])
 
 
 def bundle_manifest(bundle: SessionBundle) -> dict:
     """Summary document: one row per session with counts and time span."""
+    sessions = bundle.sessions
+    starts = _format_stamps(np.array([s.start_ms for s in sessions], dtype=np.int64))
+    ends = _format_stamps(np.array([s.end_ms for s in sessions], dtype=np.int64))
     return {
         "system_name": bundle.model.system_name,
         "session_count": len(bundle),
@@ -534,10 +584,10 @@ def bundle_manifest(bundle: SessionBundle) -> dict:
                 "task_id": s.task_id,
                 "record_count": len(s.records),
                 "quarantined_count": len(s.quarantined),
-                "start": format_timestamp(s.start_ms),
-                "end": format_timestamp(s.end_ms),
+                "start": start + "Z",
+                "end": end + "Z",
                 "span_ms": s.span_ms,
             }
-            for s in bundle.sessions
+            for s, start, end in zip(sessions, starts, ends)
         ],
     }

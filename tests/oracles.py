@@ -4,7 +4,9 @@ These deliberately reimplement results by a different route than the
 package (index formulas instead of half-splitting, exhaustive pair loops
 instead of matrix bookkeeping) so agreement is meaningful.
 """
+import json
 import math
+from datetime import datetime, timedelta, timezone
 
 from evalcards.survey import BoxStats
 
@@ -78,3 +80,21 @@ def oracle_attribute_time(records, idle_cap_ms):
         out[current.comp_id] = out.get(current.comp_id, 0) + gap
     out.setdefault(records[-1].comp_id, 0)
     return out
+
+
+def oracle_session_jsonl(session):
+    """The per-record log writer: one dict per record, dumped with sorted
+    keys; the stamp comes from ``datetime``, its year padded to 4 digits."""
+    lines = []
+    for record in session.records:
+        dt = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(milliseconds=record.ts_ms)
+        out = {
+            "timestamp": f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}.{record.ts_ms % 1000:03d}Z",
+            "lv1_id": record.lv1_id.value,
+            "lv2_id": record.lv2_id,
+            "comp_id": record.comp_id,
+        }
+        if record.other is not None:
+            out["other"] = record.other
+        lines.append(json.dumps(out, sort_keys=True))
+    return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 """Subcommand behavior, exit codes, and file handling."""
+import hashlib
 import json
 import re
 
@@ -175,6 +176,23 @@ def test_analyze_empty_logs_dir_exits_2(tmp_path, visus_config, capsys):
     assert "jsonl" in capsys.readouterr().err
 
 
+def test_analyze_log_not_utf8_names_file_and_byte(tmp_path, visus_config, profile_file, capsys):
+    fixture_dir = tmp_path / "fixture"
+    assert run(["synth", "--taxonomy", visus_config, "--profile", profile_file, "--out", fixture_dir]) == 0
+    log = fixture_dir / "logs" / "u01_classification.jsonl"
+    lines = log.read_bytes().splitlines(keepends=True)
+    data = b"".join(lines * (10_000 // len(b"".join(lines)) + 1))  # past the first read chunk
+    at = len(data) - len(lines[-1]) + 2
+    log.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    capsys.readouterr()
+    code = run(["analyze", "--taxonomy", visus_config, "--logs", fixture_dir / "logs",
+                "--out", tmp_path / "x.json"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"  {log.name}: byte {at}: not valid UTF-8\n" in err
+    assert "internal error" not in err and len(err) < 200
+
+
 def test_analyze_without_surveys_marks_no_data(tmp_path, visus_config, profile_file):
     fixture_dir = tmp_path / "fixture"
     assert run(["synth", "--taxonomy", visus_config, "--profile", profile_file, "--out", fixture_dir]) == 0
@@ -286,7 +304,7 @@ def test_render_writes_report_with_eight_sections(tmp_path, visus_config, profil
     assert html.count('<section class="card') == 8
     manifest = json.loads((out_dir / "visus.cards.html.manifest.json").read_text())
     assert "generated_at" in manifest
-    assert export.name in manifest["inputs"]
+    assert manifest["inputs"] == {export.name: hashlib.sha256(export.read_bytes()).hexdigest()}
 
 
 def test_render_rejects_invalid_export(tmp_path, capsys):
@@ -294,6 +312,23 @@ def test_render_rejects_invalid_export(tmp_path, capsys):
     bad.write_text('{"kind": "something-else"}')
     assert run(["render", bad, "--out", tmp_path / "reports"]) == 2
     assert "export" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["render", "compare"])
+def test_export_not_utf8_names_file_and_byte(tmp_path, visus_config, profile_file, capsys, command):
+    _, export = synth_and_analyze(tmp_path, visus_config, profile_file)
+    other = tmp_path / "other.json"
+    other.write_bytes(export.read_bytes())
+    data = bytearray(export.read_bytes())
+    at = data.index(b'"system_name"') + 1
+    data[at] = 0xFF
+    export.write_bytes(bytes(data))
+    capsys.readouterr()
+    args = [export, "--out", tmp_path / "reports"]
+    if command == "compare":
+        args = [other, export, "--out", tmp_path / "cmp.html"]
+    assert run([command, *args]) == 2
+    assert capsys.readouterr().err == f"error: {export}: byte {at}: not valid UTF-8\n"
 
 
 def test_render_refuses_overwrite_without_force(tmp_path, visus_config, profile_file):

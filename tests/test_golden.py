@@ -1,9 +1,11 @@
-"""Golden digests: exports, reports and a comparison pinned byte for byte.
+"""Golden digests: synth trees, exports, reports and a comparison pinned
+byte for byte.
 
 Criterion 8 compares two runs of the same code with each other. These
 digests were recorded once and guard refactors of the pipeline against any
 change in the bytes it writes. Each case runs the CLI end to end on a
-seeded synth tree. The ``visus-messy`` case rewrites its logs first: it
+seeded synth tree. Every file ``synth`` writes is pinned too, because
+``analyze`` reads many spellings of a log the same way. The ``visus-messy`` case rewrites its logs first: it
 swaps adjacent records, adds records naming components no model has, and
 spells timestamps in other ISO-8601 forms, so that the general timestamp
 path, sorting, quarantine and collapsed matrices are all covered.
@@ -49,6 +51,99 @@ GOLDEN = {
         "report": "ede1496cafa8db1d3c31f0e95ace1a5e940e8515615633a77833777667910387",
     },
     "comparison": "5aab1fe60e7426eedc2c50ab377be4976d045d049c9012dc0ca25e7623e134d5",
+}
+
+# Every file `synth` writes for the three seeded systems, recorded with the
+# per-record JSON writer that preceded the columnar one.
+GOLDEN_TREES = {
+    "visus": {
+        "logs/u01_classification.jsonl":
+            "b4abcf1d49cb7fb177424c378aeb79bda971b0f4ce2894845518c2b55971226b",
+        "logs/u01_regression.jsonl":
+            "9bc73c65990e92a34b47ca8246fcfc22aff36be63015d35c77352c03ded543a9",
+        "logs/u02_classification.jsonl":
+            "50dc128f60e711e03e28753bb67b461ef7a60fc627ab76aa39d4d6ca26228900",
+        "logs/u02_regression.jsonl":
+            "c85a6643ddca44f3265a798589676002fe9c708ebb1927e7279d87f215d00497",
+        "logs/u03_classification.jsonl":
+            "42c18f459b22545061d15ae232d9445df19b00c0cdf770ee61ebef6549a371e9",
+        "logs/u03_regression.jsonl":
+            "486308941ddd862f9fc07aed0b3f0a41fae6624ce597f9fe00ab37991e4ab276",
+        "logs/u04_classification.jsonl":
+            "edf3c1d6046d67b7b1e83f4d55c039f8d358d218b76aaa1c1b9471b4b24b18dc",
+        "logs/u04_regression.jsonl":
+            "5bff35cf57ada64f183da43becbf3912b8761851c5f75033a1fed08c834eaf38",
+        "logs/u05_classification.jsonl":
+            "e980cd493a802c1683e63b6377b684577bde710ea74231afcc598defc191a892",
+        "logs/u05_regression.jsonl":
+            "1632c6669fc27acfd32bd632d91e7d8cf325c45ba5d2821beb2ba2cce9a5050f",
+        "manifest.json":
+            "5abcce33d41107cb42829bdeb671bf1079547904b852f58a821bf41832ad42dc",
+        "surveys/ratings.csv":
+            "f1cfe1836b79f7b52539c745d3cd799e56545d90149f590fac1a6115731e5a43",
+        "surveys/sus.csv":
+            "850e49bf8e36b1250ebf0ad7375dc9de88edfd285a41c1770063211cc99951af",
+    },
+    "distil": {
+        "logs/u01_classification.jsonl":
+            "375090bf1fc4acaed636329632d675ddffaed6192cb90872be55e1487c1e92a0",
+        "logs/u01_regression.jsonl":
+            "7d82d1af120858bd9c258b9b931183801573219da108775ea694998f424a0cc7",
+        "logs/u02_classification.jsonl":
+            "8e59ee9537ec25c0aa2e76074a920ed3749b60ae431ac915b14409922917741a",
+        "logs/u02_regression.jsonl":
+            "6ef46e39f6bcd76e28d6534bbc5b61c175e6de35382f8cdbfba1dd4dc2840345",
+        "logs/u03_classification.jsonl":
+            "2926aeaac5c0f69eec0744d34f59d2bd8324b826f9077beeb85726ae0a537b45",
+        "logs/u03_regression.jsonl":
+            "29b99b4d27e934281dd27704d6e9ed8ef17b35e640357108c686e2d0c2e11bf3",
+        "logs/u04_classification.jsonl":
+            "c21e39a05d23c5542abdd78687eeb6910456862f0c7e22c97508a02b0de0db98",
+        "logs/u04_regression.jsonl":
+            "52af3d5aacbdcfc7751537adc57e9996fbb25285deadebd556a96edd70d1c06e",
+        "logs/u05_classification.jsonl":
+            "cad2fb7ae881eca81c261f6170d8c767de56bba6de6e6ace76dbdef44ba68c8f",
+        "logs/u05_regression.jsonl":
+            "f68435a9e16a1c1d8fb56b0025b0cd9ee5d3af1eff4f20d409fc8cda27323f21",
+        "manifest.json":
+            "6873a40f24289f129556feedfbb84edba50ecbc99bcb6b681c68469e9d51e4ee",
+        "surveys/ratings.csv":
+            "2c401e653e4f975181a8ea73befb561d40f97e3c8762fa379481b3ceb99e4d5a",
+        "surveys/sus.csv":
+            "ff38ef34027b89f44a82eaff0e5ad61a0f18e416e294818cd81adf518c41f35e",
+    },
+    "tworavens": {
+        "logs/u01_classification.jsonl":
+            "279eca86162cf783c83a748011e9f3b67a59f547640f08611e152c24168a3471",
+        "logs/u01_regression.jsonl":
+            "3c0926d1759c133afa3caa34f745aa048364973636ec7d401cfc7500b19fd3c5",
+        "logs/u02_classification.jsonl":
+            "e39b4b4842d9b31f89ca648dc78e31ad6866785be6ad5cc30ca7091c52c49d4b",
+        "logs/u02_regression.jsonl":
+            "6f07d28fa2ff7c625cc292db61b06578bdf780e6b1ea7bd4d754d039dc77572f",
+        "logs/u03_classification.jsonl":
+            "f57f2ff826870a6c65efd5049435b22530f60a8b07f7eb133ec7b8e8ca01610f",
+        "logs/u03_regression.jsonl":
+            "bb4a0cd774201dd1f5e1a16517533da4ef44febe1381a42b50d14cf367f8e66d",
+        "logs/u04_classification.jsonl":
+            "87e45f5408d707ce5ee6d570fbff3c1ea7e58b756ea22d6147a0fa3482240bdd",
+        "logs/u04_regression.jsonl":
+            "8b66f8e05614bd4742b1ab8cf71054d73e9d6b9ff1fbb9b12f77bf4b29f8d81a",
+        "logs/u05_classification.jsonl":
+            "c8b53496a562fa1d1afbf0234f0404eef5e1f0df2335502b1118813274edb80a",
+        "logs/u05_regression.jsonl":
+            "6e7e7fb7c67e4a8f00c740ebe747ef6bd99142ed953df7eaf223fff66320ea1a",
+        "logs/u06_classification.jsonl":
+            "9c13ae74ed6c880ba5c7e5d60435dde6b6e942d2ef738569d41ff07a2a4ff52c",
+        "logs/u06_regression.jsonl":
+            "fe446756afa5d7e2ca8a692113a162dd2bc650e1af516193fe3a44e2c730683d",
+        "manifest.json":
+            "5678130062d5958b561fe8d129423b2eeeea6f6f8d6d51a4a7990654dccd2083",
+        "surveys/ratings.csv":
+            "12e6c7ae7ad12f00713e553faa54b6bd26febf8674ba33fc34197dff50f89949",
+        "surveys/sus.csv":
+            "9d7d0843184e23f18615f820d29bff7cb8904efc6c367be8e563bf0a513d523a",
+    },
 }
 
 _OTHER_FORMS = (
@@ -102,6 +197,11 @@ def digests(tmp_path_factory):
         (work / "profile.yaml").write_text(profile_text, encoding="utf-8")
         _run("synth", "--taxonomy", work / "taxonomy.yaml", "--profile", work / "profile.yaml",
              "--out", work / "tree")
+        if case == system:
+            out[f"{case}-tree"] = {
+                path.relative_to(work / "tree").as_posix(): _sha256(path)
+                for path in sorted((work / "tree").rglob("*")) if path.is_file()
+            }
         flags = []
         if case == "visus-messy":
             _make_messy(work / "tree" / "logs")
@@ -122,3 +222,8 @@ def digests(tmp_path_factory):
 @pytest.mark.parametrize("case", list(GOLDEN))
 def test_golden_digest(digests, case):
     assert digests[case] == GOLDEN[case]
+
+
+@pytest.mark.parametrize("system", list(GOLDEN_TREES))
+def test_golden_synth_tree(digests, system):
+    assert digests[f"{system}-tree"] == GOLDEN_TREES[system]

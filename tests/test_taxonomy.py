@@ -1,8 +1,11 @@
 """Reference table, model resolution, and cross-system alignment."""
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
 from evalcards.fixtures import fixture_model, fixture_text
+from evalcards.serialize import canonical_json
 from evalcards.taxonomy import (
     ActionKind,
     ComponentModel,
@@ -228,7 +231,7 @@ def test_model_serialization_round_trips(case):
     if expected == 0:
         return
     model = resolve_model("rand", actions)
-    assert ComponentModel.from_json(model.to_json()) == model
+    assert ComponentModel.from_dict(json.loads(canonical_json(model.to_dict()))) == model
 
 
 @given(action_lists(), action_lists())

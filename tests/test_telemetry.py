@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import oracle_session_jsonl
 
 from evalcards import telemetry
 from evalcards.fixtures import fixture_model
@@ -158,16 +159,28 @@ def test_format_timestamp_canonical_and_round_trips():
     assert parse_timestamp(text) == ms
 
 
-@given(st.integers(-62_135_596_800_000, 253_402_300_799_999))
+FIRST_MS = -62_135_596_800_000  # 0001-01-01T00:00:00.000Z
+LAST_MS = 253_402_300_799_999  # 9999-12-31T23:59:59.999Z
+
+
+@given(st.integers(FIRST_MS, LAST_MS))
+@example(FIRST_MS)
+@example(LAST_MS)
 @example(-1)  # the last millisecond before the epoch
 @example(0)
 @example(951_782_400_000)  # 2000-02-29, a leap day
+@example(-49_572_686_076_196)  # 0399-02-08T01:25:23.804Z, a three-digit year
 def test_format_timestamp_matches_datetime_and_round_trips(ms):
     dt = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(milliseconds=ms)
     text = format_timestamp(ms)
-    assert text == f"{dt:%Y-%m-%dT%H:%M:%S}.{ms % 1000:03d}Z"
-    if dt.year >= 1000:  # four-digit years are the canonical shape
-        assert parse_timestamp(text) == ms
+    assert text == f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}.{ms % 1000:03d}Z"
+    assert parse_timestamp(text) == ms
+
+
+@pytest.mark.parametrize("ms", [FIRST_MS - 1, LAST_MS + 1])
+def test_format_timestamp_rejects_years_outside_1_to_9999(ms):
+    with pytest.raises(OverflowError):
+        format_timestamp(ms)
 
 
 # --------------------------------------------------------------------------
@@ -301,6 +314,12 @@ def test_session_columns_and_records_view(visus_model):
         records[3]
 
 
+@pytest.mark.parametrize("row", [-1, 2])
+def test_session_rejects_other_row_outside_its_records(visus_model, row):
+    with pytest.raises(telemetry.TelemetryError, match="'other' rows must lie in 0..1"):
+        Session("u1", "t", visus_model, [0, 1], [0, 1], {row: {"model_viewed": "m1"}})
+
+
 def test_sorting_makes_result_independent_of_arrival_order(identity_model):
     lines = [
         line("2024-01-01T00:00:00Z", "data", "open_dataset", "open_dataset"),
@@ -335,6 +354,36 @@ def test_malformed_lines_report_line_numbers(identity_model, bad, err):
 # --------------------------------------------------------------------------
 # Lossless round trip
 # --------------------------------------------------------------------------
+
+
+SHIPPED_MODELS = tuple(fixture_model(name) for name in ("visus", "distil", "tworavens"))
+# Quotes, backslashes, control characters, non-ASCII and astral text.
+_TEXT = st.text(
+    st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600') | st.characters()
+)
+_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=8,
+).filter(lambda payload: payload is not None)
+
+
+@st.composite
+def written_sessions(draw):
+    model = draw(st.sampled_from(SHIPPED_MODELS))
+    n = draw(st.integers(1, 12))
+    rows = st.lists(st.integers(FIRST_MS, LAST_MS), min_size=n, max_size=n)
+    comps = st.lists(st.integers(0, len(model) - 1), min_size=n, max_size=n)
+    other = draw(st.dictionaries(st.integers(0, n - 1), _PAYLOADS, max_size=n))
+    return Session("u1", "t1", model, sorted(draw(rows)), draw(comps), other)
+
+
+@given(written_sessions())
+@example(Session("u1", "t1", SHIPPED_MODELS[0], [FIRST_MS, 0, LAST_MS], [0, 1, 2],
+                 {1: {"z": ["caf\u00e9", 'a"b\\c\n', 1.5, {"y": None}], "a": -0.0}}))
+@example(Session("u1", "t1", SHIPPED_MODELS[0], [0, 1], [0, 0], {0: "plain ascii"}))
+def test_session_to_jsonl_matches_per_record_writer(session):
+    assert session_to_jsonl(session) == oracle_session_jsonl(session)
 
 
 def test_round_trip_preserves_records(visus_model):
