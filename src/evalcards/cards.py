@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from html import escape
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .charts import (
     ChartRow,
@@ -28,10 +28,12 @@ from .charts import (
     stacked_columns_svg,
 )
 from .errors import EvalCardsError
-from .metrics import DescriptiveStats, MetricSet
 from .serialize import canonical_json, fmt_num, sha256_hex
 from .survey import BoxStats, ComponentAttitude, likert_box
 from .taxonomy import ComponentModel, align_models
+
+if TYPE_CHECKING:  # annotations only: rendering an export never loads numpy
+    from .metrics import DescriptiveStats, MetricSet
 
 __all__ = [
     "EXPORT_KIND",
@@ -44,11 +46,18 @@ __all__ = [
     "validate_export",
     "render_within",
     "render_within_export",
+    "render_within_parsed",
+    "comparison_order",
     "render_between",
+    "render_between_parsed",
 ]
 
 EXPORT_KIND = "evalcards-export"
 EXPORT_SCHEMA_VERSION = 1
+
+# The export's default ``options.idle_cap_ms``. It lives here rather than in
+# ``metrics`` so that the CLI can offer it without importing numpy.
+DEFAULT_IDLE_CAP_MS = 10 * 60 * 1000
 
 CATEGORY_TITLES = {
     "descriptive": "Descriptive results",
@@ -580,6 +589,17 @@ def render_within_export(export: Mapping, *, log_scale: bool = False) -> str:
     digest = sha256_hex(text)
     export = json.loads(text)
     del text  # keep the text out of the render's peak memory
+    return render_within_parsed(export, digest, log_scale=log_scale)
+
+
+def render_within_parsed(export: Mapping, digest: str, *, log_scale: bool = False) -> str:
+    """Render the within-system card set from a validated export as parsed
+    from its canonical bytes; ``digest`` is the sha256 of those bytes.
+
+    For an export file that ``analyze`` wrote, the bytes are the file's, so
+    this gives the same report as :func:`render_within_export` without
+    serializing the document again.
+    """
     options = _options_note(export["options"])
     sections = [
         _sec_descriptive_within(export),
@@ -777,22 +797,37 @@ def _sec_exploration_between(exports: Sequence[Mapping], alignment) -> str:
     return "".join(figures) + note
 
 
-def render_between(exports: Sequence[Mapping], *, log_scale: bool = False) -> str:
-    """Render the comparative card document from two or more exports."""
+def comparison_order(exports: Sequence[Mapping]) -> list[int]:
+    """Positions of validated ``exports`` in system-name order, the order in
+    which a comparison shows them and hashes their bytes."""
     if len(exports) < 2:
         raise FewerThanTwoSystems(f"comparison needs at least 2 exports, got {len(exports)}")
-    for export in exports:
-        validate_export(export)
-    exports = sorted(exports, key=lambda e: e["system_name"])
-    names = [e["system_name"] for e in exports]
+    order = sorted(range(len(exports)), key=lambda i: exports[i]["system_name"])
+    names = [exports[i]["system_name"] for i in order]
     if len(set(names)) != len(names):
         raise CardsError(f"duplicate system names in comparison: {names}")
+    return order
+
+
+def render_between(exports: Sequence[Mapping], *, log_scale: bool = False) -> str:
+    """Render the comparative card document from two or more exports."""
+    for export in exports:
+        validate_export(export)
     # Serialize once per export, as in render_within_export.
-    texts = [canonical_json(dict(export)) for export in exports]
+    texts = [canonical_json(dict(exports[i])) for i in comparison_order(exports)]
     digest = sha256_hex("".join(texts))
     exports = [json.loads(text) for text in texts]
     del texts
+    return render_between_parsed(exports, digest, log_scale=log_scale)
 
+
+def render_between_parsed(
+    exports: Sequence[Mapping], digest: str, *, log_scale: bool = False
+) -> str:
+    """Render the comparison from validated exports, each parsed from its
+    canonical bytes, in :func:`comparison_order`; ``digest`` is the sha256
+    of those bytes joined in that order."""
+    names = [e["system_name"] for e in exports]
     models = [ComponentModel.from_dict(export["model"]) for export in exports]
     alignment = align_models(models)
 

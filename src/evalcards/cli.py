@@ -8,6 +8,7 @@ can be scripted and tested on its own. Exit codes are stable: 0 success,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -15,12 +16,17 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .cards import export_metrics, render_between, render_within_export, validate_export
+from .cards import (
+    DEFAULT_IDLE_CAP_MS,
+    comparison_order,
+    export_metrics,
+    render_between_parsed,
+    render_within_parsed,
+    validate_export,
+)
 from .errors import EvalCardsError
-from .metrics import DEFAULT_IDLE_CAP_MS, compute_metric_set, descriptive
 from .serialize import canonical_json, sha256_hex
 from .survey import component_attitudes, load_ratings_csv, load_sus_csv, sus_scores_by_user
-from .synth import generate_bundle, load_profile, write_fixture_tree
 from .taxonomy import (
     MissingL2Action,
     config_skeleton,
@@ -29,7 +35,6 @@ from .taxonomy import (
     resolution_warnings,
     resolve_model,
 )
-from .telemetry import load_bundle
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -144,6 +149,10 @@ def cmd_taxonomy(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # numpy comes in with these; render, compare and taxonomy never load it
+    from .metrics import compute_metric_set, descriptive
+    from .telemetry import load_bundle
+
     system_name, actions = load_config(args.taxonomy)
     model = resolve_model(system_name, actions)
     for warning in resolution_warnings(actions):
@@ -189,24 +198,32 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _load_export(path: Path) -> tuple[dict, str]:
-    """Read, decode and validate one export; return it with its sha256."""
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _load_export(path: Path) -> tuple[dict, bytes]:
+    """Read, parse and validate one export; return it with the file's bytes.
+
+    This is the only parse and the only validation an export gets on its
+    way to a report. The sections' digest is the sha256 of these bytes,
+    which for an export that ``analyze`` wrote are its canonical text.
+    """
     data = path.read_bytes()
-    digest = sha256_hex(data)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: byte {exc.start}: not valid UTF-8") from exc
-    del data  # only the text is alive while json.loads builds the document
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: not valid JSON ({exc.msg})") from exc
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:  # a JSONDecodeError, or NaN/Infinity
+        raise CliError(f"{path}: not valid JSON ({getattr(exc, 'msg', exc)})") from exc
+    del text
     try:
         validate_export(doc)
     except EvalCardsError as exc:
         raise CliError(f"{path}: {exc}") from exc
-    return doc, digest
+    return doc, data
 
 
 def _safe_filename(name: str) -> str:
@@ -219,14 +236,16 @@ def cmd_render(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     seen: dict[str, Path] = {}
     for export_path in map(Path, args.exports):
-        export, digest = _load_export(export_path)
+        export, data = _load_export(export_path)
+        digest = sha256_hex(data)
+        del data
         name = export["system_name"]
         if name in seen:
             raise CliError(
                 f"{export_path}: system {name!r} already rendered from {seen[name]}"
             )
         seen[name] = export_path
-        html = render_within_export(export, log_scale=args.log_scale)
+        html = render_within_parsed(export, digest, log_scale=args.log_scale)
         target = out_dir / f"{_safe_filename(name)}.cards.html"
         _write_report(target, html, {export_path.name: digest}, args.force)
         print(f"{name}: wrote {target}")
@@ -236,18 +255,24 @@ def cmd_render(args) -> int:
 def cmd_compare(args) -> int:
     paths = [Path(p) for p in args.exports]
     loaded = [_load_export(p) for p in paths]
-    exports = [export for export, _ in loaded]
-    html = render_between(exports, log_scale=args.log_scale)
+    order = comparison_order([export for export, _ in loaded])
+    joined = hashlib.sha256()
+    for i in order:
+        joined.update(loaded[i][1])
+    inputs = {p.name: sha256_hex(data) for p, (_, data) in zip(paths, loaded)}
+    exports = [loaded[i][0] for i in order]
+    del loaded
+    html = render_between_parsed(exports, joined.hexdigest(), log_scale=args.log_scale)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    inputs = {p.name: digest for p, (_, digest) in zip(paths, loaded)}
     _write_report(out, html, inputs, args.force)
-    names = sorted(e["system_name"] for e in exports)
-    print(f"compared {', '.join(names)} -> {out}")
+    print(f"compared {', '.join(e['system_name'] for e in exports)} -> {out}")
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
+    from .synth import generate_bundle, load_profile, write_fixture_tree
+
     system_name, actions = load_config(args.taxonomy)
     model = resolve_model(system_name, actions)
     profile = load_profile(args.profile, seed_override=args.seed)

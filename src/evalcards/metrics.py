@@ -37,6 +37,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .cards import DEFAULT_IDLE_CAP_MS
 from .errors import EvalCardsError
 from .taxonomy import ComponentModel
 from .telemetry import Session, SessionBundle
@@ -59,8 +60,6 @@ __all__ = [
     "descriptive",
     "compute_metric_set",
 ]
-
-DEFAULT_IDLE_CAP_MS = 10 * 60 * 1000
 
 
 class MetricsError(EvalCardsError):

@@ -18,8 +18,6 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-import yaml
-
 from .errors import EvalCardsError
 
 __all__ = [
@@ -565,6 +563,8 @@ def _parse_spec_entry(entry, where: str) -> ComponentSpec:
 
 def parse_config(text: str) -> tuple[str, list[ResolutionAction]]:
     """Parse a taxonomy configuration document into (system_name, actions)."""
+    import yaml  # here, so that reading an export never loads the YAML parser
+
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -360,10 +360,6 @@ class SessionBundle:
     def user_ids(self) -> tuple[str, ...]:
         return tuple(sorted({s.user_id for s in self.sessions}))
 
-    @property
-    def task_ids(self) -> tuple[str, ...]:
-        return tuple(sorted({s.task_id for s in self.sessions}))
-
 
 _LEVEL1 = {level.value: level for level in Level1}
 _RECORD_FIELDS = frozenset({"timestamp", "lv1_id", "lv2_id", "comp_id", "other"})

@@ -1,10 +1,16 @@
 """Subcommand behavior, exit codes, and file handling."""
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import evalcards
 from evalcards.cli import main, parse_duration_ms, CliError
 from evalcards.fixtures import fixture_text
 
@@ -52,6 +58,14 @@ def synth_and_analyze(tmp_path, visus_config, profile_file, out_name="export.jso
         == 0
     )
     return fixture_dir, export
+
+
+def visus_and_distil_exports(tmp_path, visus_config, profile_file):
+    _, visus_export = synth_and_analyze(tmp_path / "visus", visus_config, profile_file, "visus.json")
+    distil_config = tmp_path / "distil.yaml"
+    distil_config.write_text(fixture_text("distil"), encoding="utf-8")
+    _, distil_export = synth_and_analyze(tmp_path / "distil", distil_config, profile_file, "distil.json")
+    return visus_export, distil_export
 
 
 # --------------------------------------------------------------------------
@@ -331,6 +345,23 @@ def test_export_not_utf8_names_file_and_byte(tmp_path, visus_config, profile_fil
     assert capsys.readouterr().err == f"error: {export}: byte {at}: not valid UTF-8\n"
 
 
+@pytest.mark.parametrize("command", ["render", "compare"])
+def test_export_non_finite_constant_names_file(tmp_path, visus_config, profile_file, capsys, command):
+    _, export = synth_and_analyze(tmp_path, visus_config, profile_file)
+    other = tmp_path / "other.json"
+    other.write_bytes(export.read_bytes())
+    text = export.read_text(encoding="utf-8")
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        export.write_text(re.sub(r"-?\d+\.\d{4}", constant, text, count=1), encoding="utf-8")
+        capsys.readouterr()
+        args = [export, "--out", tmp_path / "reports"]
+        if command == "compare":
+            args = [other, export, "--out", tmp_path / "cmp.html"]
+        assert run([command, *args]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {export}: not valid JSON ({constant} is not a JSON number)\n"
+
+
 def test_render_refuses_overwrite_without_force(tmp_path, visus_config, profile_file):
     _, export = synth_and_analyze(tmp_path, visus_config, profile_file)
     out_dir = tmp_path / "reports"
@@ -346,29 +377,67 @@ def test_compare_single_export_exits_2(tmp_path, visus_config, profile_file, cap
 
 
 def test_compare_two_systems(tmp_path, visus_config, profile_file):
-    _, visus_export = synth_and_analyze(tmp_path, visus_config, profile_file)
-    distil_config = tmp_path / "distil.yaml"
-    distil_config.write_text(fixture_text("distil"), encoding="utf-8")
-    fixture_dir = tmp_path / "distil-fixture"
-    assert run(["synth", "--taxonomy", distil_config, "--profile", profile_file, "--out", fixture_dir]) == 0
-    distil_export = tmp_path / "distil.json"
-    assert (
-        run(
-            [
-                "analyze",
-                "--taxonomy", distil_config,
-                "--logs", fixture_dir / "logs",
-                "--surveys", fixture_dir / "surveys",
-                "--out", distil_export,
-            ]
-        )
-        == 0
-    )
+    visus_export, distil_export = visus_and_distil_exports(tmp_path, visus_config, profile_file)
     out = tmp_path / "cmp.html"
     assert run(["compare", visus_export, distil_export, "--out", out]) == 0
     html = out.read_text()
     assert html.count('<section class="card') == 4
     assert 'class="l2-panel"' in html
+
+
+@pytest.mark.parametrize("command", ["render", "compare"])
+def test_cli_parses_and_validates_each_export_once(
+    tmp_path, visus_config, profile_file, monkeypatch, command
+):
+    import evalcards.cards as cards_mod
+    import evalcards.cli as cli_mod
+    import evalcards.serialize as serialize_mod
+
+    visus_export, distil_export = visus_and_distil_exports(tmp_path, visus_config, profile_file)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (cards_mod, cli_mod, serialize_mod):
+        monkeypatch.setattr(mod, "canonical_json", counted("canonical_json", mod.canonical_json))
+    for mod in (cards_mod, cli_mod):
+        monkeypatch.setattr(mod, "validate_export", counted("validate_export", mod.validate_export))
+    monkeypatch.setattr(json, "loads", counted("json.loads", json.loads))
+    out = tmp_path / ("reports" if command == "render" else "cmp.html")
+    assert run([command, visus_export, distil_export, "--out", out]) == 0
+    assert calls == {"json.loads": 2, "validate_export": 2}
+
+
+def test_render_compare_and_taxonomy_load_neither_numpy_nor_yaml(
+    tmp_path, visus_config, profile_file
+):
+    visus_export, distil_export = visus_and_distil_exports(tmp_path, visus_config, profile_file)
+    program = (
+        "import sys\n"
+        "from evalcards.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'numpy' in sys.modules, 'yaml' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(evalcards.__file__).parents[1]))
+    commands = {
+        "render": ["render", visus_export, "--out", tmp_path / "reports"],
+        "compare": ["compare", visus_export, distil_export, "--out", tmp_path / "cmp.html"],
+        "taxonomy": ["taxonomy", "validate", visus_config],
+    }
+    loaded = {}
+    for name, argv in commands.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", program, *map(str, argv)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        loaded[name] = proc.stdout.splitlines()[-1]
+    # taxonomy validate parses YAML, so only numpy must stay out of it
+    assert loaded == {"render": "0 False False", "compare": "0 False False",
+                      "taxonomy": "0 False True"}
 
 
 # --------------------------------------------------------------------------
@@ -392,12 +461,13 @@ def test_error_output_has_no_ansi_when_not_a_tty(tmp_path, visus_config, capsys,
 
 
 def test_internal_errors_exit_1(monkeypatch, tmp_path, visus_config, profile_file, capsys):
-    import evalcards.cli as cli_mod
+    import evalcards.synth as synth_mod
 
     def boom(*args, **kwargs):
         raise RuntimeError("wires crossed")
 
-    monkeypatch.setattr(cli_mod, "generate_bundle", boom)
+    # cmd_synth imports generate_bundle when it runs, so patch it at its source
+    monkeypatch.setattr(synth_mod, "generate_bundle", boom)
     code = run(["synth", "--taxonomy", visus_config, "--profile", profile_file, "--out", tmp_path / "x"])
     assert code == 1
     assert "internal error" in capsys.readouterr().err

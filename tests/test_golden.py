@@ -16,8 +16,10 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from evalcards.cards import render_between, render_within_export
 from evalcards.cli import main
 from evalcards.fixtures import fixture_text
+from evalcards.serialize import canonical_json
 
 PROFILES = {
     "visus": "archetype: linear\nn_users: 5\ntasks: [classification, regression]\n"
@@ -185,10 +187,10 @@ def _run(*args) -> None:
 
 
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory):
+def golden_root(tmp_path_factory):
+    """The directory holding every case's tree, export and report, and the
+    comparison of the three plain cases."""
     root = tmp_path_factory.mktemp("golden")
-    out = {}
-    exports = []
     for case, profile_text in PROFILES.items():
         system = case.split("-")[0]
         work = root / case
@@ -197,11 +199,6 @@ def digests(tmp_path_factory):
         (work / "profile.yaml").write_text(profile_text, encoding="utf-8")
         _run("synth", "--taxonomy", work / "taxonomy.yaml", "--profile", work / "profile.yaml",
              "--out", work / "tree")
-        if case == system:
-            out[f"{case}-tree"] = {
-                path.relative_to(work / "tree").as_posix(): _sha256(path)
-                for path in sorted((work / "tree").rglob("*")) if path.is_file()
-            }
         flags = []
         if case == "visus-messy":
             _make_messy(work / "tree" / "logs")
@@ -210,12 +207,27 @@ def digests(tmp_path_factory):
         _run("analyze", "--taxonomy", work / "taxonomy.yaml", "--logs", work / "tree" / "logs",
              "--surveys", work / "tree" / "surveys", "--out", export, *flags)
         _run("render", export, "--out", work / "reports")
-        report = work / "reports" / f"{system}.cards.html"
-        out[case] = {"export": _sha256(export), "report": _sha256(report)}
+    _run("compare", *(root / s / f"{s}.json" for s in GOLDEN_TREES),
+         "--out", root / "comparison.html")
+    return root
+
+
+@pytest.fixture(scope="module")
+def digests(golden_root):
+    out = {}
+    for case in PROFILES:
+        system = case.split("-")[0]
+        work = golden_root / case
         if case == system:
-            exports.append(export)
-    _run("compare", *exports, "--out", root / "comparison.html")
-    out["comparison"] = _sha256(root / "comparison.html")
+            out[f"{case}-tree"] = {
+                path.relative_to(work / "tree").as_posix(): _sha256(path)
+                for path in sorted((work / "tree").rglob("*")) if path.is_file()
+            }
+        out[case] = {
+            "export": _sha256(work / f"{case}.json"),
+            "report": _sha256(work / "reports" / f"{system}.cards.html"),
+        }
+    out["comparison"] = _sha256(golden_root / "comparison.html")
     return out
 
 
@@ -227,3 +239,25 @@ def test_golden_digest(digests, case):
 @pytest.mark.parametrize("system", list(GOLDEN_TREES))
 def test_golden_synth_tree(digests, system):
     assert digests[f"{system}-tree"] == GOLDEN_TREES[system]
+
+
+@pytest.mark.parametrize("case", list(PROFILES))
+def test_cli_render_equals_dict_api(golden_root, case, tmp_path):
+    """The CLI renders from the file's bytes; the dict API from the canonical
+    text of the document. For an export `analyze` wrote they are the same
+    bytes, so the reports are too."""
+    system = case.split("-")[0]
+    export = golden_root / case / f"{case}.json"
+    data = export.read_bytes()
+    assert canonical_json(json.loads(data)).encode("utf-8") == data
+    report = golden_root / case / "reports" / f"{system}.cards.html"
+    assert report.read_bytes() == render_within_export(json.loads(data)).encode("utf-8")
+    _run("render", export, "--out", tmp_path, "--log-scale")
+    logged = render_within_export(json.loads(data), log_scale=True)
+    assert (tmp_path / f"{system}.cards.html").read_bytes() == logged.encode("utf-8")
+
+
+def test_cli_compare_equals_dict_api(golden_root):
+    docs = [json.loads((golden_root / s / f"{s}.json").read_bytes()) for s in GOLDEN_TREES]
+    comparison = (golden_root / "comparison.html").read_bytes()
+    assert comparison == render_between(docs).encode("utf-8")
