@@ -10,7 +10,8 @@ import json
 import tempfile
 from pathlib import Path
 
-from evalcards.cards import export_metrics, render_between, render_within_export
+from evalcards.cards import render_between, render_within_export
+from evalcards.export import export_metrics
 from evalcards.fixtures import fixture_model
 from evalcards.metrics import compute_metric_set, descriptive
 from evalcards.serialize import canonical_json

@@ -2,8 +2,9 @@
 
 The pipeline: resolve a component hierarchy from the built-in reference
 functionality table (``taxonomy``), ingest interaction logs (``telemetry``)
-and survey data (``survey``), derive behavioral metrics (``metrics``), and
-render static evaluation cards plus a machine-readable export (``cards``).
+and survey data (``survey``), derive behavioral metrics (``metrics``), build
+and load the machine-readable export (``export``), and render static
+evaluation cards from it (``cards``).
 ``synth`` generates seeded fixtures for the whole pipeline and ``cli``
 exposes everything as subcommands.
 """

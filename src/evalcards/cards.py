@@ -1,4 +1,4 @@
-"""Evaluation cards: static report documents and the metrics export.
+"""Evaluation cards: static report documents rendered from the export.
 
 A card set has four categories (descriptive results, attitudinal,
 user effort, exploration pattern), each with a within-system and a
@@ -6,17 +6,17 @@ between-system section, eight sections in total. The within-system report
 is rendered per export; between-system sections become available in the
 comparison document produced from two or more exports.
 
-Reports are a pure function of the machine-readable export: every number a
-chart or table shows is taken from the export document (quantized exactly
-as the canonical serializer writes it), so re-rendering from a saved
-export reproduces the report byte for byte. Generation time never enters
-the document body; it belongs in a sidecar manifest.
+Reports are a pure function of the machine-readable export (built, loaded
+and validated by :mod:`evalcards.export`): every number a chart or table
+shows is taken from the export document, exactly as its canonical bytes
+write it, so re-rendering from a saved export reproduces the report byte
+for byte. Generation time never enters the document body; it belongs in a
+sidecar manifest.
 """
 from __future__ import annotations
 
-import json
 from html import escape
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .charts import (
     ChartRow,
@@ -28,36 +28,24 @@ from .charts import (
     stacked_columns_svg,
 )
 from .errors import EvalCardsError
+from .export import EXPORT_SCHEMA_VERSION, load_export
+
+# ``bench/layers.py`` still reaches these two through ``cards``; the import
+# can go when the benchmark imports them from ``export``.
+from .export import export_metrics, validate_export  # noqa: F401
 from .serialize import canonical_json, fmt_num, sha256_hex
-from .survey import BoxStats, ComponentAttitude, likert_box
+from .survey import BoxStats
 from .taxonomy import ComponentModel, align_models
 
-if TYPE_CHECKING:  # annotations only: rendering an export never loads numpy
-    from .metrics import DescriptiveStats, MetricSet
-
 __all__ = [
-    "EXPORT_KIND",
-    "EXPORT_SCHEMA_VERSION",
     "CardsError",
-    "ModelMismatch",
     "FewerThanTwoSystems",
-    "ExportSchemaError",
-    "export_metrics",
-    "validate_export",
-    "render_within",
     "render_within_export",
     "render_within_parsed",
     "comparison_order",
     "render_between",
     "render_between_parsed",
 ]
-
-EXPORT_KIND = "evalcards-export"
-EXPORT_SCHEMA_VERSION = 1
-
-# The export's default ``options.idle_cap_ms``. It lives here rather than in
-# ``metrics`` so that the CLI can offer it without importing numpy.
-DEFAULT_IDLE_CAP_MS = 10 * 60 * 1000
 
 CATEGORY_TITLES = {
     "descriptive": "Descriptive results",
@@ -72,202 +60,8 @@ class CardsError(EvalCardsError):
     pass
 
 
-class ModelMismatch(CardsError):
-    pass
-
-
 class FewerThanTwoSystems(CardsError):
     pass
-
-
-class ExportSchemaError(CardsError):
-    pass
-
-
-# --------------------------------------------------------------------------
-# Export document
-# --------------------------------------------------------------------------
-
-
-def _box_or_none(values: Sequence[float]) -> dict | None:
-    return likert_box(values).to_dict() if values else None
-
-
-def export_metrics(
-    metric_set: MetricSet,
-    attitudes: Mapping[str, ComponentAttitude],
-    descriptive: DescriptiveStats,
-) -> dict:
-    """Assemble the canonical export: every chartable number in one document."""
-    model = metric_set.model
-    effort = metric_set.effort
-
-    per_session = []
-    share_points: dict[str, list[float]] = {c: [] for c in model.comp_ids}
-    for row in effort.per_session:
-        attributed = row.attributed_ms
-        shares = {
-            comp: (ms / attributed if attributed else 0.0)
-            for comp, ms in row.per_comp_ms.items()
-        }
-        for comp, share in shares.items():
-            share_points[comp].append(share)
-        per_session.append(
-            {
-                "user_id": row.user_id,
-                "task_id": row.task_id,
-                "attributed_ms": attributed,
-                "per_comp_ms": dict(row.per_comp_ms),
-                "share": shares,
-            }
-        )
-    grand_total = sum(effort.totals_ms.values())
-    share_totals = {
-        comp: (ms / grand_total if grand_total else 0.0) for comp, ms in effort.totals_ms.items()
-    }
-
-    completion = [float(r.completion_ms) for r in descriptive.rows]
-    steps = [float(r.steps) for r in descriptive.rows]
-    sus_values = [descriptive.sus[u] for u in sorted(descriptive.sus)]
-
-    return {
-        "kind": EXPORT_KIND,
-        "schema_version": EXPORT_SCHEMA_VERSION,
-        "system_name": model.system_name,
-        "options": {
-            "idle_cap_ms": metric_set.idle_cap_ms,
-            "collapse_repeats": metric_set.collapse_repeats,
-        },
-        "model": model.to_dict(),
-        "descriptive": {
-            "sessions": [
-                {
-                    "user_id": r.user_id,
-                    "task_id": r.task_id,
-                    "completion_ms": r.completion_ms,
-                    "steps": r.steps,
-                }
-                for r in descriptive.rows
-            ],
-            "sus": dict(descriptive.sus),
-            "missing_sus": list(descriptive.missing_sus),
-            "summary": {
-                "completion_ms": _box_or_none(completion),
-                "steps": _box_or_none(steps),
-                "sus": _box_or_none(sus_values),
-            },
-        },
-        "attitudes": {
-            comp_id: {
-                "no_data": att.no_data,
-                "efficiency": att.efficiency.to_dict() if att.efficiency else None,
-                "effectiveness": att.effectiveness.to_dict() if att.effectiveness else None,
-            }
-            for comp_id, att in attitudes.items()
-        },
-        "effort": {
-            "totals_ms": dict(effort.totals_ms),
-            "visit_counts": dict(effort.visit_counts),
-            "share_totals": share_totals,
-            "share_box": {comp: _box_or_none(points) for comp, points in share_points.items()},
-            "per_session": per_session,
-        },
-        "transitions": {
-            "l3": metric_set.l3_matrix.to_dict(),
-            "l2": metric_set.l2_matrix.to_dict(),
-        },
-        "linearity": {
-            "order": list(model.comp_ids),
-            "per_session": [
-                {
-                    "user_id": row.user_id,
-                    "task_id": row.task_id,
-                    "value": row.index.value,
-                    "forward": row.index.forward_count,
-                    "backward": row.index.backward_count,
-                    "self": row.index.self_count,
-                }
-                for row in metric_set.session_linearity
-            ],
-            "pooled": {
-                "value": metric_set.pooled_linearity.value,
-                "forward": metric_set.pooled_linearity.forward_count,
-                "backward": metric_set.pooled_linearity.backward_count,
-                "self": metric_set.pooled_linearity.self_count,
-            },
-        },
-    }
-
-
-def _require(doc: Mapping, key: str, kind: type, where: str):
-    if key not in doc:
-        raise ExportSchemaError(f"{where}: missing key {key!r}")
-    value = doc[key]
-    if not isinstance(value, kind):
-        raise ExportSchemaError(f"{where}: {key!r} must be {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
-def validate_export(doc: Mapping) -> None:
-    """Structural check of an export document; raises :class:`ExportSchemaError`."""
-    if not isinstance(doc, Mapping):
-        raise ExportSchemaError("export must be a JSON object")
-    if doc.get("kind") != EXPORT_KIND:
-        raise ExportSchemaError(f"not an evalcards export (kind={doc.get('kind')!r})")
-    if doc.get("schema_version") != EXPORT_SCHEMA_VERSION:
-        raise ExportSchemaError(
-            f"unsupported schema_version {doc.get('schema_version')!r}; "
-            f"this build reads version {EXPORT_SCHEMA_VERSION}"
-        )
-    _require(doc, "system_name", str, "export")
-    _require(doc, "options", Mapping, "export")
-    model_doc = _require(doc, "model", Mapping, "export")
-    try:
-        model = ComponentModel.from_dict(model_doc)
-    except EvalCardsError as exc:
-        raise ExportSchemaError(f"export.model: {exc}") from exc
-    comp_ids = set(model.comp_ids)
-
-    descriptive = _require(doc, "descriptive", Mapping, "export")
-    _require(descriptive, "sessions", list, "export.descriptive")
-    _require(descriptive, "sus", Mapping, "export.descriptive")
-    _require(descriptive, "missing_sus", list, "export.descriptive")
-    for i, row in enumerate(descriptive["sessions"]):
-        for key in ("user_id", "task_id", "completion_ms", "steps"):
-            if key not in row:
-                raise ExportSchemaError(f"export.descriptive.sessions[{i}]: missing {key!r}")
-
-    attitudes = _require(doc, "attitudes", Mapping, "export")
-    if set(attitudes) != comp_ids:
-        raise ExportSchemaError(
-            "export.attitudes keys do not match the model's terminal components"
-        )
-    effort = _require(doc, "effort", Mapping, "export")
-    for key in ("totals_ms", "visit_counts", "share_totals", "share_box"):
-        table = _require(effort, key, Mapping, "export.effort")
-        if set(table) != comp_ids:
-            raise ExportSchemaError(f"export.effort.{key} keys do not match the model")
-    _require(effort, "per_session", list, "export.effort")
-
-    transitions = _require(doc, "transitions", Mapping, "export")
-    for level, expected in (("l3", list(model.comp_ids)), ("l2", list(model.l2_order))):
-        matrix = _require(transitions, level, Mapping, "export.transitions")
-        order = _require(matrix, "order", list, f"export.transitions.{level}")
-        counts = _require(matrix, "counts", list, f"export.transitions.{level}")
-        if order != expected:
-            raise ExportSchemaError(f"export.transitions.{level}.order does not match the model")
-        n = len(order)
-        if len(counts) != n or any(len(row) != n for row in counts):
-            raise ExportSchemaError(f"export.transitions.{level}.counts is not {n}x{n}")
-        if any(c < 0 for row in counts for c in row):
-            raise ExportSchemaError(f"export.transitions.{level}.counts has negative cells")
-
-    linearity = _require(doc, "linearity", Mapping, "export")
-    _require(linearity, "per_session", list, "export.linearity")
-    pooled = _require(linearity, "pooled", Mapping, "export.linearity")
-    for key in ("value", "forward", "backward", "self"):
-        if key not in pooled:
-            raise ExportSchemaError(f"export.linearity.pooled: missing {key!r}")
 
 
 # --------------------------------------------------------------------------
@@ -552,49 +346,23 @@ def _between_placeholder(category: str) -> str:
     return _section(category, "between", body, unavailable=True)
 
 
-def render_within(
-    model: ComponentModel,
-    metric_set: MetricSet,
-    attitudes: Mapping[str, ComponentAttitude],
-    descriptive: DescriptiveStats,
-    *,
-    log_scale: bool = False,
-) -> str:
-    """Render one system's card set (all eight sections) to HTML.
-
-    All inputs must derive from the same model and the same bundle.
-    """
-    if metric_set.model != model:
-        raise ModelMismatch(
-            f"metrics were computed for {metric_set.model.system_name!r}, "
-            f"not {model.system_name!r}"
-        )
-    if set(attitudes) != set(model.comp_ids):
-        raise ModelMismatch("attitudes do not cover the model's terminal components")
-    metric_keys = {(r.user_id, r.task_id) for r in metric_set.effort.per_session}
-    descriptive_keys = {(r.user_id, r.task_id) for r in descriptive.rows}
-    if metric_keys != descriptive_keys:
-        raise ModelMismatch("behavioral metrics and descriptive stats cover different sessions")
-    return render_within_export(
-        export_metrics(metric_set, attitudes, descriptive), log_scale=log_scale
-    )
-
-
 def render_within_export(export: Mapping, *, log_scale: bool = False) -> str:
-    """Render the within-system card set from an export document alone."""
-    validate_export(export)
-    # Serialize once: the digest covers these bytes, and rendering reads
-    # them back, so every figure is the export file's, digit for digit.
-    text = canonical_json(dict(export))
-    digest = sha256_hex(text)
-    export = json.loads(text)
-    del text  # keep the text out of the render's peak memory
+    """Render the within-system card set from an export document alone.
+
+    The document is loaded from its canonical bytes, as a file would be:
+    the digest covers those bytes, and every figure is read back from them.
+    """
+    data = canonical_json(export).encode()
+    digest = sha256_hex(data)
+    export = load_export(data)
+    del data  # keep the bytes out of the render's peak memory
     return render_within_parsed(export, digest, log_scale=log_scale)
 
 
 def render_within_parsed(export: Mapping, digest: str, *, log_scale: bool = False) -> str:
-    """Render the within-system card set from a validated export as parsed
-    from its canonical bytes; ``digest`` is the sha256 of those bytes.
+    """Render the within-system card set from an export as
+    :func:`~evalcards.export.load_export` returns it; ``digest`` is the
+    sha256 of the bytes it was loaded from.
 
     For an export file that ``analyze`` wrote, the bytes are the file's, so
     this gives the same report as :func:`render_within_export` without
@@ -809,24 +577,20 @@ def comparison_order(exports: Sequence[Mapping]) -> list[int]:
     return order
 
 
-def render_between(exports: Sequence[Mapping], *, log_scale: bool = False) -> str:
-    """Render the comparative card document from two or more exports."""
-    for export in exports:
-        validate_export(export)
-    # Serialize once per export, as in render_within_export.
-    texts = [canonical_json(dict(exports[i])) for i in comparison_order(exports)]
-    digest = sha256_hex("".join(texts))
-    exports = [json.loads(text) for text in texts]
-    del texts
-    return render_between_parsed(exports, digest, log_scale=log_scale)
+def render_between(exports: Sequence[Mapping]) -> str:
+    """Render the comparative card document from two or more exports, each
+    loaded from its canonical bytes as in :func:`render_within_export`."""
+    data = [canonical_json(export).encode() for export in exports]
+    loaded = [load_export(d) for d in data]
+    order = comparison_order(loaded)
+    digest = sha256_hex(b"".join(data[i] for i in order))
+    del data
+    return render_between_parsed([loaded[i] for i in order], digest)
 
 
-def render_between_parsed(
-    exports: Sequence[Mapping], digest: str, *, log_scale: bool = False
-) -> str:
-    """Render the comparison from validated exports, each parsed from its
-    canonical bytes, in :func:`comparison_order`; ``digest`` is the sha256
-    of those bytes joined in that order."""
+def render_between_parsed(exports: Sequence[Mapping], digest: str) -> str:
+    """Render the comparison from loaded exports in :func:`comparison_order`;
+    ``digest`` is the sha256 of their bytes joined in that order."""
     names = [e["system_name"] for e in exports]
     models = [ComponentModel.from_dict(export["model"]) for export in exports]
     alignment = align_models(models)

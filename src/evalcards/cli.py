@@ -16,15 +16,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .cards import (
-    DEFAULT_IDLE_CAP_MS,
-    comparison_order,
-    export_metrics,
-    render_between_parsed,
-    render_within_parsed,
-    validate_export,
-)
+from .cards import comparison_order, render_between_parsed, render_within_parsed
 from .errors import EvalCardsError
+from .export import DEFAULT_IDLE_CAP_MS, export_metrics, load_export
 from .serialize import canonical_json, sha256_hex
 from .survey import component_attitudes, load_ratings_csv, load_sus_csv, sus_scores_by_user
 from .taxonomy import (
@@ -99,19 +93,41 @@ def _line_hint(text: str, token: str) -> str:
     return ""
 
 
+def _write_atomic(path: Path, text: str) -> bytes:
+    """Write ``text`` to ``path`` as UTF-8 and return the bytes written.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``, so ``path`` holds either its old bytes or all of the
+    new ones, never a part.
+    """
+    data = text.encode("utf-8")
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_bytes(data)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    return data
+
+
 def _write_report(path: Path, html: str, inputs: dict[str, str], force: bool) -> None:
     """Write a report plus its sidecar manifest (the only place a wall-clock
-    timestamp is allowed; the report itself stays byte-deterministic)."""
+    timestamp is allowed; the report itself stays byte-deterministic).
+
+    ``inputs`` maps each export, named as given on the command line, to the
+    sha256 of its bytes.
+    """
     manifest_path = path.with_suffix(path.suffix + ".manifest.json")
     _check_overwrite(path, force)
     _check_overwrite(manifest_path, force)
-    path.write_text(html, encoding="utf-8")
+    data = _write_atomic(path, html)
     manifest = {
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "inputs": inputs,
-        "output": {path.name: sha256_hex(html)},
+        "output": {path.name: sha256_hex(data)},
     }
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_atomic(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -123,7 +139,7 @@ def cmd_taxonomy(args) -> int:
     path = Path(args.path)
     if args.action == "init":
         _check_overwrite(path, args.force)
-        path.write_text(config_skeleton(args.name), encoding="utf-8")
+        _write_atomic(path, config_skeleton(args.name))
         print(f"wrote skeleton to {path}; assign an action to every level-2 entry")
         return EXIT_OK
 
@@ -190,7 +206,7 @@ def cmd_analyze(args) -> int:
     out = Path(args.out)
     _check_overwrite(out, args.force)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(canonical_json(export), encoding="utf-8")
+    _write_atomic(out, canonical_json(export))
     print(
         f"{model.system_name}: sessions={len(bundle)} users={len(bundle.user_ids)} "
         f"components={len(model)} -> {out}"
@@ -198,32 +214,17 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"{name} is not a JSON number")
+def _load_export(arg: str) -> tuple[dict, bytes]:
+    """Read and load one export file; return it with the file's bytes.
 
-
-def _load_export(path: Path) -> tuple[dict, bytes]:
-    """Read, parse and validate one export; return it with the file's bytes.
-
-    This is the only parse and the only validation an export gets on its
-    way to a report. The sections' digest is the sha256 of these bytes,
-    which for an export that ``analyze`` wrote are its canonical text.
+    The sections' digest is the sha256 of these bytes, which for an export
+    that ``analyze`` wrote are its canonical text.
     """
-    data = path.read_bytes()
+    data = Path(arg).read_bytes()
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: byte {exc.start}: not valid UTF-8") from exc
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except ValueError as exc:  # a JSONDecodeError, or NaN/Infinity
-        raise CliError(f"{path}: not valid JSON ({getattr(exc, 'msg', exc)})") from exc
-    del text
-    try:
-        validate_export(doc)
+        return load_export(data), data
     except EvalCardsError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-    return doc, data
+        raise CliError(f"{arg}: {exc}") from exc
 
 
 def _safe_filename(name: str) -> str:
@@ -234,35 +235,32 @@ def _safe_filename(name: str) -> str:
 def cmd_render(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seen: dict[str, Path] = {}
-    for export_path in map(Path, args.exports):
-        export, data = _load_export(export_path)
+    seen: dict[str, str] = {}
+    for arg in args.exports:
+        export, data = _load_export(arg)
         digest = sha256_hex(data)
         del data
         name = export["system_name"]
         if name in seen:
-            raise CliError(
-                f"{export_path}: system {name!r} already rendered from {seen[name]}"
-            )
-        seen[name] = export_path
+            raise CliError(f"{arg}: system {name!r} already rendered from {seen[name]}")
+        seen[name] = arg
         html = render_within_parsed(export, digest, log_scale=args.log_scale)
         target = out_dir / f"{_safe_filename(name)}.cards.html"
-        _write_report(target, html, {export_path.name: digest}, args.force)
+        _write_report(target, html, {arg: digest}, args.force)
         print(f"{name}: wrote {target}")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    paths = [Path(p) for p in args.exports]
-    loaded = [_load_export(p) for p in paths]
+    loaded = [_load_export(arg) for arg in args.exports]
     order = comparison_order([export for export, _ in loaded])
     joined = hashlib.sha256()
     for i in order:
         joined.update(loaded[i][1])
-    inputs = {p.name: sha256_hex(data) for p, (_, data) in zip(paths, loaded)}
+    inputs = {arg: sha256_hex(data) for arg, (_, data) in zip(args.exports, loaded)}
     exports = [loaded[i][0] for i in order]
     del loaded
-    html = render_between_parsed(exports, joined.hexdigest(), log_scale=args.log_scale)
+    html = render_between_parsed(exports, joined.hexdigest())
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_report(out, html, inputs, args.force)
@@ -354,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="render the between-system comparison")
     p_cmp.add_argument("exports", nargs="+", help="export JSON files (two or more)")
     p_cmp.add_argument("--out", required=True, help="path of the comparison HTML to write")
-    p_cmp.add_argument("--log-scale", action="store_true", help="log color scale for heatmaps")
     p_cmp.add_argument("--force", action="store_true", help="overwrite existing output")
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -37,8 +37,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cards import DEFAULT_IDLE_CAP_MS
 from .errors import EvalCardsError
+from .export import DEFAULT_IDLE_CAP_MS
 from .taxonomy import ComponentModel
 from .telemetry import Session, SessionBundle
 

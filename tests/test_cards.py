@@ -1,27 +1,22 @@
 """Export schema, report structure, determinism, and chart/data agreement."""
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from evalcards import cards
-from evalcards.cards import (
-    ExportSchemaError,
-    FewerThanTwoSystems,
-    ModelMismatch,
-    export_metrics,
-    render_between,
-    render_within,
-    render_within_export,
-    validate_export,
-)
+from evalcards import export as export_mod
+from evalcards.cards import FewerThanTwoSystems, render_between, render_within_export
 from evalcards.charts import EMPTY_CELL
+from evalcards.export import ExportSchemaError, ModelMismatch, export_metrics, validate_export
 from evalcards.fixtures import fixture_model
 from evalcards.metrics import compute_metric_set, descriptive
 from evalcards.serialize import canonical_json, fmt_num
 from evalcards.survey import component_attitudes, sus_scores_by_user
 from evalcards.synth import Archetype, SynthProfile, generate_bundle
 from evalcards.taxonomy import ResolutionAction, resolve_model
+from corruptions import CORRUPTIONS
 
 SECTION_RE = re.compile(r'<section class="card[^"]*" id="([a-z]+-[a-z]+)"')
 
@@ -96,13 +91,46 @@ def test_export_share_sums_to_one_per_session(visus_parts):
         (lambda e: e["transitions"]["l3"]["counts"][0].append(1), "counts"),
         (lambda e: e["transitions"]["l3"]["counts"][0].__setitem__(0, -1), "negative"),
         (lambda e: e["transitions"]["l2"].update(order=["x"]), "order"),
+        # these return the JSON path of the fault they plant
+        *[pytest.param(corrupt, None, id=name) for name, corrupt in CORRUPTIONS],
     ],
 )
 def test_schema_violations_rejected(visus_parts, mutate, match):
     export = json.loads(canonical_json(visus_parts[4]))  # deep copy
-    mutate(export)
-    with pytest.raises(ExportSchemaError, match=match):
+    planted = mutate(export)
+    with pytest.raises(ExportSchemaError, match=match or f"^{re.escape(planted)}: "):
         validate_export(export)
+
+
+def _schema_fields(spec, path):
+    """(path, type word) for each field of ``spec``, written as the docs write them."""
+    kind = type(spec)
+    if kind is export_mod.Scalar:
+        yield path, spec.word
+    elif kind is export_mod.Opt:
+        for inner_path, word in _schema_fields(spec.spec, path):
+            yield inner_path, f"{word} or null"
+    elif kind is export_mod.Checked:  # the box summary, documented once as ``box.*``
+        yield path, "box"
+    elif kind is export_mod.Order:
+        yield path, f"{spec.axis} order"
+    elif kind is export_mod.Square:
+        yield f"{path}[][]", spec.cell.word
+    elif kind is export_mod.Map:
+        yield from _schema_fields(spec.value, f"{path}.<{spec.key}>")
+    elif kind is list or kind is export_mod.Rows:
+        yield from _schema_fields(spec[0], f"{path}[]")
+    else:
+        for key, sub in spec.items():
+            yield from _schema_fields(sub, f"{path}.{key}" if path else key)
+
+
+def test_schema_doc_lists_every_field_with_its_type():
+    text = (Path(__file__).parents[1] / "docs" / "export-schema.md").read_text(encoding="utf-8")
+    documented = re.findall(r"^\| `([^`]+)` *\| ([^|]+?) *\|", text, re.M)
+    table = [*_schema_fields(export_mod.SCHEMA, ""), *_schema_fields(export_mod.BOX.spec, "box")]
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(table)
 
 
 # --------------------------------------------------------------------------
@@ -142,23 +170,30 @@ def test_render_is_deterministic(visus_parts):
 
 def test_render_is_pure_function_of_export(visus_parts):
     model, metric_set, attitudes, stats, export = visus_parts
-    direct = render_within(model, metric_set, attitudes, stats)
+    direct = render_within_export(export_metrics(metric_set, attitudes, stats))
     from_file = render_within_export(json.loads(canonical_json(export)))
     assert direct == from_file
 
 
 def test_model_mismatch_rejected(visus_parts):
-    _, metric_set, attitudes, stats, _ = visus_parts
-    other = fixture_model("distil")
+    _, metric_set, _, stats, _ = visus_parts
+    other_attitudes = component_attitudes([], fixture_model("distil"))
     with pytest.raises(ModelMismatch):
-        render_within(other, metric_set, attitudes, stats)
+        export_metrics(metric_set, other_attitudes, stats)
 
 
 def test_attitude_coverage_mismatch_rejected(visus_parts):
     model, metric_set, attitudes, stats, _ = visus_parts
     partial = {k: v for k, v in attitudes.items() if k != "see_pdp"}
     with pytest.raises(ModelMismatch):
-        render_within(model, metric_set, partial, stats)
+        export_metrics(metric_set, partial, stats)
+
+
+def test_session_coverage_mismatch_rejected(visus_parts):
+    _, metric_set, attitudes, _, _ = visus_parts
+    other_stats = build_export(n_users=3)[3]
+    with pytest.raises(ModelMismatch, match="different sessions"):
+        export_metrics(metric_set, attitudes, other_stats)
 
 
 def test_single_session_renders_with_n_of_one():
@@ -175,7 +210,7 @@ def test_single_session_renders_with_n_of_one():
     metric_set = compute_metric_set(result.bundle)
     attitudes = component_attitudes(result.ratings, model)
     stats = descriptive(result.bundle, sus_scores_by_user(result.sus))
-    html = render_within(model, metric_set, attitudes, stats)
+    html = render_within_export(export_metrics(metric_set, attitudes, stats))
     assert "n = 1" in html
     assert len(SECTION_RE.findall(html)) == 8
 

@@ -9,10 +9,12 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import evalcards
-from evalcards.cli import main, parse_duration_ms, CliError
+from evalcards.cli import main, parse_duration_ms, CliError, _write_atomic
 from evalcards.fixtures import fixture_text
+from corruptions import CORRUPTIONS
 
 PROFILE = (
     "archetype: linear\n"
@@ -318,7 +320,7 @@ def test_render_writes_report_with_eight_sections(tmp_path, visus_config, profil
     assert html.count('<section class="card') == 8
     manifest = json.loads((out_dir / "visus.cards.html.manifest.json").read_text())
     assert "generated_at" in manifest
-    assert manifest["inputs"] == {export.name: hashlib.sha256(export.read_bytes()).hexdigest()}
+    assert manifest["inputs"] == {str(export): hashlib.sha256(export.read_bytes()).hexdigest()}
 
 
 def test_render_rejects_invalid_export(tmp_path, capsys):
@@ -362,6 +364,77 @@ def test_export_non_finite_constant_names_file(tmp_path, visus_config, profile_f
         assert err == f"error: {export}: not valid JSON ({constant} is not a JSON number)\n"
 
 
+@pytest.fixture(scope="module")
+def small_exports(tmp_path_factory):
+    """The bytes of a valid visus export and a valid distil export."""
+    tmp = tmp_path_factory.mktemp("small")
+    profile = tmp / "profile.yaml"
+    profile.write_text(PROFILE, encoding="utf-8")
+    exports = []
+    for system in ("visus", "distil"):
+        config = tmp / f"{system}.yaml"
+        config.write_text(fixture_text(system), encoding="utf-8")
+        exports.append(synth_and_analyze(tmp / system, config, profile)[1].read_bytes())
+    return exports
+
+
+@pytest.mark.parametrize("command", ["render", "compare"])
+@pytest.mark.parametrize("corrupt", [pytest.param(c, id=name) for name, c in CORRUPTIONS])
+def test_corrupt_export_exits_2_naming_file_and_path(tmp_path, small_exports, capsys, corrupt, command):
+    visus, distil = small_exports
+    doc = json.loads(visus)
+    planted = corrupt(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    other = tmp_path / "distil.json"
+    other.write_bytes(distil)
+    args = [bad, "--out", tmp_path / "reports"]
+    if command == "compare":
+        args = [other, bad, "--out", tmp_path / "cmp.html"]
+    assert run([command, *args]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {planted}: ")
+    assert not list(tmp_path.rglob("*.html"))
+
+
+def _json_paths(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _json_paths(item, (*path, key))
+
+
+DELETE = "<delete>"
+ONE_OF_EACH_TYPE = [None, True, 7, 2.5, "x", [], {}]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_single_field_mutation_never_exits_1(small_exports, tmp_path_factory, data):
+    visus, distil = small_exports
+    doc = json.loads(visus)
+    *parents, key = data.draw(st.sampled_from(list(_json_paths(doc))[1:]), label="path")
+    parent = doc
+    for step in parents:
+        parent = parent[step]
+    others = [v for v in ONE_OF_EACH_TYPE if type(v) is not type(parent[key])]
+    value = data.draw(st.sampled_from([DELETE, *others]), label="value")
+    if value == DELETE:
+        del parent[key]
+    else:
+        parent[key] = value
+    work = tmp_path_factory.mktemp("mutated")
+    bad, other = work / "bad.json", work / "distil.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    other.write_bytes(distil)
+    assert run(["render", bad, "--out", work / "reports"]) in (0, 2)
+    assert run(["compare", other, bad, "--out", work / "cmp.html"]) in (0, 2)
+
+
+def test_compare_log_scale_is_a_usage_error(tmp_path, capsys):
+    assert run(["compare", "a.json", "b.json", "--out", tmp_path / "cmp.html", "--log-scale"]) == 2
+    assert "unrecognized arguments: --log-scale" in capsys.readouterr().err
+
+
 def test_render_refuses_overwrite_without_force(tmp_path, visus_config, profile_file):
     _, export = synth_and_analyze(tmp_path, visus_config, profile_file)
     out_dir = tmp_path / "reports"
@@ -385,12 +458,26 @@ def test_compare_two_systems(tmp_path, visus_config, profile_file):
     assert 'class="l2-panel"' in html
 
 
+def test_compare_manifest_keys_same_named_exports_by_path(tmp_path, visus_config, profile_file):
+    _, visus_export = synth_and_analyze(tmp_path / "a", visus_config, profile_file, "x.json")
+    distil_config = tmp_path / "distil.yaml"
+    distil_config.write_text(fixture_text("distil"), encoding="utf-8")
+    _, distil_export = synth_and_analyze(tmp_path / "b", distil_config, profile_file, "x.json")
+    out = tmp_path / "cmp.html"
+    assert run(["compare", visus_export, distil_export, "--out", out]) == 0
+    manifest = json.loads((tmp_path / "cmp.html.manifest.json").read_text())
+    assert manifest["inputs"] == {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (visus_export, distil_export)
+    }
+
+
 @pytest.mark.parametrize("command", ["render", "compare"])
 def test_cli_parses_and_validates_each_export_once(
     tmp_path, visus_config, profile_file, monkeypatch, command
 ):
     import evalcards.cards as cards_mod
     import evalcards.cli as cli_mod
+    import evalcards.export as export_mod
     import evalcards.serialize as serialize_mod
 
     visus_export, distil_export = visus_and_distil_exports(tmp_path, visus_config, profile_file)
@@ -404,8 +491,9 @@ def test_cli_parses_and_validates_each_export_once(
 
     for mod in (cards_mod, cli_mod, serialize_mod):
         monkeypatch.setattr(mod, "canonical_json", counted("canonical_json", mod.canonical_json))
-    for mod in (cards_mod, cli_mod):
-        monkeypatch.setattr(mod, "validate_export", counted("validate_export", mod.validate_export))
+    monkeypatch.setattr(
+        export_mod, "validate_export", counted("validate_export", export_mod.validate_export)
+    )
     monkeypatch.setattr(json, "loads", counted("json.loads", json.loads))
     out = tmp_path / ("reports" if command == "render" else "cmp.html")
     assert run([command, visus_export, distil_export, "--out", out]) == 0
@@ -471,3 +559,27 @@ def test_internal_errors_exit_1(monkeypatch, tmp_path, visus_config, profile_fil
     code = run(["synth", "--taxonomy", visus_config, "--profile", profile_file, "--out", tmp_path / "x"])
     assert code == 1
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fail_at", ["write", "replace"])
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, fail_at):
+    target = tmp_path / "report.html"
+    target.write_text("old", encoding="utf-8")
+    write_bytes = Path.write_bytes
+
+    def half_written(self, data):
+        write_bytes(self, data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+    def refused(src, dst):
+        raise OSError("no space left on device")
+
+    if fail_at == "write":
+        monkeypatch.setattr(Path, "write_bytes", half_written)
+    else:
+        monkeypatch.setattr(os, "replace", refused)
+    with pytest.raises(OSError):
+        _write_atomic(target, "new text")
+    monkeypatch.undo()
+    assert target.read_text(encoding="utf-8") == "old"
+    assert os.listdir(tmp_path) == ["report.html"]
