@@ -21,14 +21,7 @@ from .errors import EvalCardsError
 from .export import DEFAULT_IDLE_CAP_MS, export_metrics, load_export
 from .serialize import canonical_json, sha256_hex
 from .survey import component_attitudes, load_ratings_csv, load_sus_csv, sus_scores_by_user
-from .taxonomy import (
-    MissingL2Action,
-    config_skeleton,
-    load_config,
-    parse_config,
-    resolution_warnings,
-    resolve_model,
-)
+from .taxonomy import ComponentModel, config_skeleton, load_config, resolution_warnings, resolve_model
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -85,14 +78,6 @@ def _check_overwrite(path: Path, force: bool) -> None:
         raise CliError(f"{path} already exists (pass --force to overwrite)")
 
 
-def _line_hint(text: str, token: str) -> str:
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped.startswith(f"{token}:") or stripped == token:
-            return f" (line {line_no})"
-    return ""
-
-
 def _write_atomic(path: Path, text: str) -> bytes:
     """Write ``text`` to ``path`` as UTF-8 and return the bytes written.
 
@@ -130,6 +115,19 @@ def _write_report(path: Path, html: str, inputs: dict[str, str], force: bool) ->
     _write_atomic(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
+def _load_model(path: str) -> ComponentModel:
+    """Read and resolve the taxonomy at ``path``, and warn about what it
+    resolves to. Every error names ``path`` once."""
+    system_name, actions = load_config(path)
+    try:
+        model = resolve_model(system_name, actions)
+    except EvalCardsError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+    for warning in resolution_warnings(actions):
+        _warn(warning)
+    return model
+
+
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
@@ -143,23 +141,7 @@ def cmd_taxonomy(args) -> int:
         print(f"wrote skeleton to {path}; assign an action to every level-2 entry")
         return EXIT_OK
 
-    text = path.read_text(encoding="utf-8")
-    try:
-        system_name, actions = parse_config(text)
-        model = resolve_model(system_name, actions)
-    except MissingL2Action as exc:
-        anchored = ", ".join(key + _line_hint(text, key) for key in exc.missing)
-        raise CliError(f"{path}: no action assigned for: {anchored}") from exc
-    except EvalCardsError as exc:
-        message = str(exc)
-        for token in message.replace("'", " ").replace(",", " ").split():
-            hint = _line_hint(text, token)
-            if hint:
-                message += hint
-                break
-        raise CliError(f"{path}: {message}") from exc
-    for warning in resolution_warnings(actions):
-        _warn(warning)
+    model = _load_model(args.path)
     print(f"{model.system_name}: {len(model)} terminal components")
     return EXIT_OK
 
@@ -169,11 +151,7 @@ def cmd_analyze(args) -> int:
     from .metrics import compute_metric_set, descriptive
     from .telemetry import load_bundle
 
-    system_name, actions = load_config(args.taxonomy)
-    model = resolve_model(system_name, actions)
-    for warning in resolution_warnings(actions):
-        _warn(warning)
-
+    model = _load_model(args.taxonomy)
     bundle = load_bundle(
         args.logs,
         model,
@@ -199,7 +177,10 @@ def cmd_analyze(args) -> int:
     metric_set = compute_metric_set(
         bundle, idle_cap_ms=args.idle_cap, collapse_repeats=args.collapse_repeats
     )
-    attitudes = component_attitudes(ratings, model)
+    try:
+        attitudes = component_attitudes(ratings, model)
+    except EvalCardsError as exc:  # a rating of a component that the model lacks
+        raise CliError(f"{ratings_path}: {exc}") from exc
     stats = descriptive(bundle, sus_scores)
     export = export_metrics(metric_set, attitudes, stats)
 
@@ -234,7 +215,6 @@ def _safe_filename(name: str) -> str:
 
 def cmd_render(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seen: dict[str, str] = {}
     for arg in args.exports:
         export, data = _load_export(arg)
@@ -245,6 +225,7 @@ def cmd_render(args) -> int:
             raise CliError(f"{arg}: system {name!r} already rendered from {seen[name]}")
         seen[name] = arg
         html = render_within_parsed(export, digest, log_scale=args.log_scale)
+        out_dir.mkdir(parents=True, exist_ok=True)  # only once an export has loaded
         target = out_dir / f"{_safe_filename(name)}.cards.html"
         _write_report(target, html, {arg: digest}, args.force)
         print(f"{name}: wrote {target}")
@@ -271,8 +252,7 @@ def cmd_compare(args) -> int:
 def cmd_synth(args) -> int:
     from .synth import generate_bundle, load_profile, write_fixture_tree
 
-    system_name, actions = load_config(args.taxonomy)
-    model = resolve_model(system_name, actions)
+    model = _load_model(args.taxonomy)
     profile = load_profile(args.profile, seed_override=args.seed)
 
     out_dir = Path(args.out)

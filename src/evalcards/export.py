@@ -13,7 +13,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
-from .errors import EvalCardsError
+from .errors import EvalCardsError, decode_utf8
 from .survey import ComponentAttitude, likert_box
 from .taxonomy import ComponentModel
 
@@ -485,10 +485,7 @@ def load_export(data: bytes) -> dict:
     way to a report, from a file or from the dict API alike. ``NaN`` and
     ``Infinity`` are not JSON numbers and are rejected.
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ExportSchemaError(f"byte {exc.start}: not valid UTF-8") from exc
+    text = decode_utf8(data, ExportSchemaError)
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
     except ValueError as exc:  # a JSONDecodeError, or NaN/Infinity

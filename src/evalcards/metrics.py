@@ -276,35 +276,13 @@ def _index_from_counts(forward: int, backward: int, self_count: int) -> Linearit
     )
 
 
-def linearity(
-    source: Session | Sequence[str] | TransitionMatrix, order: Sequence[str]
-) -> LinearityIndex:
+def linearity(source: Session | Sequence[str], order: Sequence[str]) -> LinearityIndex:
     """Classify every transition as forward, backward, or self.
 
-    ``source`` may be a session, a bare component-id sequence, or an
-    already-counted :class:`TransitionMatrix` whose order is a subset of
-    ``order``. Self transitions never count toward the index.
+    ``source`` may be a session or a bare component-id sequence. Self
+    transitions never count toward the index.
     """
     pos = {comp: i for i, comp in enumerate(order)}
-
-    if isinstance(source, TransitionMatrix):
-        missing = [c for c in source.order if c not in pos]
-        if missing:
-            raise ComponentNotInOrder(f"matrix ids not in order: {missing}")
-        forward = backward = self_count = 0
-        n = len(source.order)
-        for i in range(n):
-            for j in range(n):
-                count = int(source.counts[i, j])
-                if not count:
-                    continue
-                if i == j:
-                    self_count += count
-                elif pos[source.order[j]] > pos[source.order[i]]:
-                    forward += count
-                else:
-                    backward += count
-        return _index_from_counts(forward, backward, self_count)
 
     if isinstance(source, Session):
         comp_ids = source.model.comp_ids

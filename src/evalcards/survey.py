@@ -15,11 +15,13 @@ summary everywhere.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .errors import EvalCardsError
+from .errors import EvalCardsError, decode_utf8
 from .taxonomy import ComponentModel
 
 __all__ = [
@@ -283,57 +285,56 @@ def _int_field(name: str, value: str) -> int:
         raise SurveyFormatError(f"{name} must be an integer, got {text!r}") from None
 
 
+def _read_table(path: str | Path, header: list[str], record: Callable[[list[str]], Any]) -> list:
+    """One ``record(cells)`` per non-blank row of a survey CSV.
+
+    The file is read and decoded once. The header and every row's field
+    count are checked here; ``record`` checks the cells. Each error names
+    the path once, and an error in a row names the row.
+    """
+    records: list = []
+    where = ""
+    try:
+        text = decode_utf8(Path(path).read_bytes(), SurveyFormatError)
+        rows = csv.reader(io.StringIO(text, newline=""))
+        first = next(rows, None)
+        if first is None or [h.strip() for h in first] != header:
+            raise SurveyFormatError(f"header must be {','.join(header)}, got {first}")
+        for row_no in count(2):
+            where = f"row {row_no}: "
+            row = next(rows, None)
+            if row is None:
+                return records
+            if not any(cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise SurveyFormatError(f"expected {len(header)} fields")
+            records.append(record(row))
+    except (SurveyError, csv.Error) as exc:
+        raise SurveyFormatError(f"{path}: {where}{exc}") from None
+
+
 def load_ratings_csv(path: str | Path) -> list[ComponentRating]:
     """Read per-component ratings; malformed rows are hard errors."""
-    ratings = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != RATINGS_HEADER:
-            raise SurveyFormatError(
-                f"{path}: header must be {','.join(RATINGS_HEADER)}, got {header}"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                if len(row) != len(RATINGS_HEADER):
-                    raise SurveyFormatError(f"expected {len(RATINGS_HEADER)} fields")
-                ratings.append(
-                    ComponentRating(
-                        user_id=row[0].strip(),
-                        comp_id=row[1].strip(),
-                        efficiency=_int_field("efficiency", row[2]),
-                        effectiveness=_int_field("effectiveness", row[3]),
-                    )
-                )
-            except SurveyFormatError as exc:
-                raise SurveyFormatError(f"{path}: row {row_no}: {exc}") from None
-    return ratings
+
+    def rating(row: list[str]) -> ComponentRating:
+        scores = [_int_field(name, cell) for name, cell in zip(RATINGS_HEADER[2:], row[2:])]
+        return ComponentRating(row[0].strip(), row[1].strip(), *scores)
+
+    return _read_table(path, RATINGS_HEADER, rating)
 
 
 def load_sus_csv(path: str | Path) -> list[SusResponse]:
     """Read SUS responses (user_id, q1..q10); malformed rows and a second
     response from the same user are hard errors."""
-    responses = []
     seen: set[str] = set()
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != SUS_HEADER:
-            raise SurveyFormatError(f"{path}: header must be {','.join(SUS_HEADER)}, got {header}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                if len(row) != len(SUS_HEADER):
-                    raise SurveyFormatError(f"expected {len(SUS_HEADER)} fields")
-                items = tuple(_int_field(f"q{i}", cell) for i, cell in enumerate(row[1:], 1))
-                response = SusResponse(user_id=row[0].strip(), items=items)
-                if response.user_id in seen:
-                    raise SurveyFormatError(f"duplicate SUS response for user {response.user_id!r}")
-                seen.add(response.user_id)
-                responses.append(response)
-            except SurveyFormatError as exc:
-                raise SurveyFormatError(f"{path}: row {row_no}: {exc}") from None
-    return responses
+
+    def response(row: list[str]) -> SusResponse:
+        items = tuple(_int_field(f"q{i}", cell) for i, cell in enumerate(row[1:], 1))
+        response = SusResponse(user_id=row[0].strip(), items=items)
+        if response.user_id in seen:
+            raise SurveyFormatError(f"duplicate SUS response for user {response.user_id!r}")
+        seen.add(response.user_id)
+        return response
+
+    return _read_table(path, SUS_HEADER, response)

@@ -21,12 +21,10 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping
 
-import yaml
-
-from .errors import EvalCardsError
+from .errors import EvalCardsError, decode_utf8
 from .serialize import canonical_json
-from .survey import ComponentRating, SusResponse
-from .taxonomy import ComponentModel
+from .survey import RATINGS_HEADER, SUS_HEADER, ComponentRating, SusResponse
+from .taxonomy import ComponentModel, yaml_document
 from .telemetry import Session, SessionBundle, bundle_manifest, session_to_jsonl
 
 __all__ = [
@@ -83,7 +81,11 @@ class SynthError(EvalCardsError):
 
 
 class ProfileError(SynthError):
-    pass
+    """A bad profile; ``key`` names the profile key at fault, if one is."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class IterationPairNotInModel(SynthError):
@@ -98,6 +100,7 @@ class Archetype(str, Enum):
 
 
 _TASK_OK = set("abcdefghijklmnopqrstuvwxyz0123456789-")
+_PROFILE_KEYS = ("archetype", "n_users", "tasks", "dwell_ms", "seed", "iteration_pair")
 
 
 @dataclass(frozen=True)
@@ -112,31 +115,35 @@ class SynthProfile:
 
     def __post_init__(self):
         if self.n_users < 1:
-            raise ProfileError(f"n_users must be >= 1, got {self.n_users}")
+            raise ProfileError(f"n_users must be >= 1, got {self.n_users}", "n_users")
         if not self.tasks:
-            raise ProfileError("profile lists no tasks")
+            raise ProfileError("profile lists no tasks", "tasks")
         if len(set(self.tasks)) != len(self.tasks):
-            raise ProfileError(f"duplicate task ids: {list(self.tasks)}")
+            raise ProfileError(f"duplicate task ids: {list(self.tasks)}", "tasks")
         for task in self.tasks:
             if not task or not set(task) <= _TASK_OK:
                 raise ProfileError(
                     f"task id {task!r} must be non-empty lowercase [a-z0-9-] "
-                    "(it becomes part of a log filename)"
+                    "(it becomes part of a log filename)",
+                    "tasks",
                 )
         if not 0 < self.dwell_min_ms <= self.dwell_max_ms:
             raise ProfileError(
                 f"dwell bounds must satisfy 0 < min <= max, got "
-                f"({self.dwell_min_ms}, {self.dwell_max_ms})"
+                f"({self.dwell_min_ms}, {self.dwell_max_ms})",
+                "dwell_ms",
             )
         if not 0 <= self.seed <= MASK64:
-            raise ProfileError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+            raise ProfileError(f"seed must be an unsigned 64-bit integer, got {self.seed}", "seed")
         if self.archetype is Archetype.ITERATIVE:
             if self.iteration_pair is None:
-                raise ProfileError("iterative profiles require an iteration_pair")
+                raise ProfileError("iterative profiles require an iteration_pair", "archetype")
             if self.iteration_pair[0] == self.iteration_pair[1]:
-                raise ProfileError("iteration_pair must name two distinct components")
+                raise ProfileError(
+                    "iteration_pair must name two distinct components", "iteration_pair"
+                )
         elif self.iteration_pair is not None:
-            raise ProfileError("iteration_pair only applies to iterative profiles")
+            raise ProfileError("iteration_pair only applies to iterative profiles", "iteration_pair")
 
     def to_dict(self) -> dict:
         out = {
@@ -152,47 +159,60 @@ class SynthProfile:
 
 
 def parse_profile(text: str, *, seed_override: int | None = None) -> SynthProfile:
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ProfileError(f"profile is not valid YAML: {exc}") from exc
+    """Parse a profile document. An error about one key starts with
+    ``line L:``, the line of that key."""
+    doc, keys = yaml_document(text, ProfileError)
     if not isinstance(doc, Mapping):
         raise ProfileError("profile must be a mapping")
-    unknown = set(doc) - {"archetype", "n_users", "tasks", "dwell_ms", "seed", "iteration_pair"}
-    if unknown:
-        raise ProfileError(f"unknown profile keys: {sorted(unknown)}")
+    if seed_override is not None:
+        keys.pop("seed", None)  # the seed does not come from the text
+
+    def value(key: str, convert, raw):
+        try:
+            return convert(raw)
+        except (TypeError, ValueError) as exc:
+            raise ProfileError(f"bad profile value: {exc}", key) from None
+
     try:
-        archetype = Archetype(str(doc.get("archetype", "")).lower())
-    except ValueError:
-        raise ProfileError(
-            f"unknown archetype {doc.get('archetype')!r} "
-            f"(expected one of: {', '.join(a.value for a in Archetype)})"
-        ) from None
-    dwell = doc.get("dwell_ms") or {}
-    if not isinstance(dwell, Mapping) or set(dwell) - {"min", "max"}:
-        raise ProfileError("dwell_ms must be a mapping with 'min' and 'max'")
-    pair = doc.get("iteration_pair")
-    if pair is not None:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ProfileError("iteration_pair must be a two-element list")
-        pair = (str(pair[0]), str(pair[1]))
-    seed = doc.get("seed", 0) if seed_override is None else seed_override
-    try:
+        unknown = [k for k in doc if k not in _PROFILE_KEYS]
+        if unknown:
+            raise ProfileError(f"unknown profile key {unknown[0]!r}", unknown[0])
+        try:
+            archetype = Archetype(str(doc.get("archetype", "")).lower())
+        except ValueError:
+            raise ProfileError(
+                f"unknown archetype {doc.get('archetype')!r} "
+                f"(expected one of: {', '.join(a.value for a in Archetype)})",
+                "archetype",
+            ) from None
+        dwell = doc.get("dwell_ms") or {}
+        if not isinstance(dwell, Mapping) or set(dwell) - {"min", "max"}:
+            raise ProfileError("dwell_ms must be a mapping with 'min' and 'max'", "dwell_ms")
+        pair = doc.get("iteration_pair")
+        if pair is not None and (not isinstance(pair, list) or len(pair) != 2):
+            raise ProfileError("iteration_pair must be a two-element list", "iteration_pair")
         return SynthProfile(
             archetype=archetype,
-            n_users=int(doc.get("n_users", 0)),
-            tasks=tuple(str(t) for t in (doc.get("tasks") or [])),
-            dwell_min_ms=int(dwell.get("min", 1_000)),
-            dwell_max_ms=int(dwell.get("max", 60_000)),
-            seed=int(seed),
-            iteration_pair=pair,
+            n_users=value("n_users", int, doc.get("n_users", 0)),
+            tasks=value("tasks", lambda ts: tuple(map(str, ts)), doc.get("tasks") or []),
+            dwell_min_ms=value("dwell_ms", int, dwell.get("min", 1_000)),
+            dwell_max_ms=value("dwell_ms", int, dwell.get("max", 60_000)),
+            seed=value("seed", int, doc.get("seed", 0) if seed_override is None else seed_override),
+            iteration_pair=None if pair is None else (str(pair[0]), str(pair[1])),
         )
-    except (TypeError, ValueError) as exc:
-        raise ProfileError(f"bad profile value: {exc}") from exc
+    except ProfileError as exc:
+        at = f"line {keys[exc.key][0]}: " if exc.key in keys else ""
+        raise ProfileError(at + str(exc)) from None
 
 
 def load_profile(path: str | Path, *, seed_override: int | None = None) -> SynthProfile:
-    return parse_profile(Path(path).read_text(encoding="utf-8"), seed_override=seed_override)
+    """Read and parse a profile file; every error names ``path`` once."""
+    try:
+        return parse_profile(
+            decode_utf8(Path(path).read_bytes(), ProfileError), seed_override=seed_override
+        )
+    except ProfileError as exc:
+        raise ProfileError(f"{path}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -343,12 +363,12 @@ def write_fixture_tree(result: SynthResult, out_dir: str | Path) -> dict:
         path = logs_dir / f"{session.user_id}_{session.task_id}.jsonl"
         path.write_text(session_to_jsonl(session), encoding="utf-8")
 
-    lines = [",".join(["user_id", "comp_id", "efficiency", "effectiveness"])]
+    lines = [",".join(RATINGS_HEADER)]
     for r in result.ratings:
         lines.append(f"{r.user_id},{r.comp_id},{r.efficiency},{r.effectiveness}")
     (surveys_dir / "ratings.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    lines = [",".join(["user_id"] + [f"q{i}" for i in range(1, 11)])]
+    lines = [",".join(SUS_HEADER)]
     for s in result.sus:
         lines.append(",".join([s.user_id] + [str(v) for v in s.items]))
     (surveys_dir / "sus.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")

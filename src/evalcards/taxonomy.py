@@ -16,9 +16,9 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
-from .errors import EvalCardsError
+from .errors import EvalCardsError, decode_utf8
 
 __all__ = [
     "Level1",
@@ -542,76 +542,113 @@ def align_models(models: Sequence[ComponentModel]) -> AlignmentMap:
 _ACTION_WORDS = ("apply", "subdivide", "drop")
 
 
-def _parse_spec_entry(entry, where: str) -> ComponentSpec:
+def _parse_spec_entry(entry) -> ComponentSpec:
     if isinstance(entry, str):
         return ComponentSpec(slugify(entry), entry)
     if isinstance(entry, Mapping):
         unknown = set(entry) - {"id", "label"}
         if unknown:
-            raise ConfigError(f"{where}: unknown component keys {sorted(unknown)}")
+            raise ConfigError(f"unknown component keys {sorted(unknown, key=str)}")
         label = entry.get("label")
         comp_id = entry.get("id")
         if label is None and comp_id is None:
-            raise ConfigError(f"{where}: component needs an id or a label")
+            raise ConfigError("component needs an id or a label")
         if label is None:
             label = str(comp_id).replace("_", " ").capitalize()
         if comp_id is None:
             comp_id = slugify(str(label))
         return ComponentSpec(str(comp_id), str(label))
-    raise ConfigError(f"{where}: component entries must be strings or id/label mappings")
+    raise ConfigError("component entries must be strings or id/label mappings")
 
 
-def parse_config(text: str) -> tuple[str, list[ResolutionAction]]:
-    """Parse a taxonomy configuration document into (system_name, actions)."""
+def _created_action(entry) -> ResolutionAction:
+    if not isinstance(entry, Mapping):
+        raise ConfigError("must be a mapping with l1, l2, components")
+    unknown_keys = set(entry) - {"l1", "l2", "components"}
+    if unknown_keys:
+        raise ConfigError(f"unknown keys {sorted(unknown_keys, key=str)}")
+    l1 = Level1.parse(entry.get("l1", ""))
+    l2 = entry.get("l2")
+    if not l2 or not isinstance(l2, str):
+        raise ConfigError("must name a fresh level-2 key under 'l2'")
+    items = entry.get("components")
+    if not isinstance(items, list) or not items:
+        raise ConfigError("'components' must be a non-empty list")
+    return ResolutionAction.create(l1, l2, [_parse_spec_entry(item) for item in items])
+
+
+def yaml_document(text: str, error: type[EvalCardsError]) -> tuple[Any, dict[str, tuple[int, Any]]]:
+    """Load one YAML document as ``yaml.safe_load`` does, and return it with
+    the 1-based line and the value node of each top-level key, from the
+    node marks. Text that is not YAML raises ``error`` with its location.
+    """
     import yaml  # here, so that reading an export never loads the YAML parser
 
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"configuration is not valid YAML: {exc}") from exc
+        loader = yaml.SafeLoader(text)
+        try:
+            node = loader.get_single_node()
+            doc = None if node is None else loader.construct_document(node)
+        finally:
+            loader.dispose()
+    except yaml.MarkedYAMLError as exc:
+        mark = exc.problem_mark
+        where = f"line {mark.line + 1}, column {mark.column + 1}"
+        raise error(f"{where}: not valid YAML ({exc.problem})") from None
+    except yaml.reader.ReaderError as exc:  # a character that YAML does not allow
+        where = f"character {exc.position}"
+        raise error(f"{where}: not valid YAML (#x{exc.character:04x}: {exc.reason})") from None
+    pairs = node.value if isinstance(node, yaml.MappingNode) else ()
+    return doc, {k.value: (k.start_mark.line + 1, v) for k, v in pairs if isinstance(k.value, str)}
+
+
+def parse_config(text: str) -> tuple[str, list[ResolutionAction]]:
+    """Parse a taxonomy configuration document into (system_name, actions).
+
+    An error about one top-level key or one ``create`` item starts with
+    ``line L:``, the line of that key or item. Checks across entries, such
+    as a reference key that no entry covers, are left to :func:`resolve_model`.
+    """
+    doc, keys = yaml_document(text, ConfigError)
     if not isinstance(doc, Mapping):
         raise ConfigError("configuration must be a mapping at top level")
 
+    def at(key) -> str:
+        return f"line {keys[key][0]}: " if key in keys else ""
+
     system_name = doc.get("system_name")
     if not system_name or not isinstance(system_name, str):
-        raise ConfigError("configuration must set a non-empty 'system_name'")
+        raise ConfigError(f"{at('system_name')}configuration must set a non-empty 'system_name'")
 
-    actions: list[ResolutionAction] = []
-    unassigned: list[str] = []
     known = set(_REFERENCE_KEYS) | {"system_name", "create"}
     unknown = [k for k in doc if k not in known]
     if unknown:
         raise ConfigError(
-            f"unknown top-level keys: {sorted(unknown)} "
+            f"{at(unknown[0])}unknown top-level key {unknown[0]!r} "
             f"(expected the reference level-2 keys, 'system_name', 'create')"
         )
 
+    actions: list[ResolutionAction] = []
+    unassigned: list[str] = []
     for key in _REFERENCE_KEYS:
         if key not in doc:
             continue  # resolve_model reports the full missing set
         value = doc[key]
-        if isinstance(value, str):
-            word = value.strip().lower()
-            if word == "apply":
-                actions.append(ResolutionAction.apply(key))
-            elif word == "drop":
-                actions.append(ResolutionAction.drop(key))
-            elif word == "subdivide":
-                raise ConfigError(f"{key}: subdivide must carry a component list")
+        word = value.strip().lower() if isinstance(value, str) else None
+        if isinstance(value, Mapping) and set(value) == {"subdivide"}:
+            word, value = "subdivide", value["subdivide"]
+        if word not in _ACTION_WORDS:
+            unassigned.append(f"{key} (line {keys[key][0]})")
+            continue
+        try:
+            if word != "subdivide":
+                actions.append(ResolutionAction(ActionKind(word), target_l2=key))
+            elif not isinstance(value, list):
+                raise ConfigError("subdivide must carry a component list")
             else:
-                unassigned.append(key)
-        elif isinstance(value, Mapping) and set(value) == {"subdivide"}:
-            items = value["subdivide"]
-            if not isinstance(items, list):
-                raise ConfigError(f"{key}: subdivide must carry a component list")
-            specs = [_parse_spec_entry(item, key) for item in items]
-            try:
-                actions.append(ResolutionAction.subdivide(key, specs))
-            except InvalidAction as exc:
-                raise ConfigError(str(exc)) from exc
-        else:
-            unassigned.append(key)
-
+                actions.append(ResolutionAction.subdivide(key, map(_parse_spec_entry, value)))
+        except TaxonomyError as exc:
+            raise ConfigError(f"{at(key)}{key}: {exc}") from exc
     if unassigned:
         raise ConfigError(
             "no action chosen for: "
@@ -619,34 +656,24 @@ def parse_config(text: str) -> tuple[str, list[ResolutionAction]]:
             + f" (each entry must be one of: {', '.join(_ACTION_WORDS)})"
         )
 
-    for i, entry in enumerate(doc.get("create", []) or []):
-        where = f"create[{i}]"
-        if not isinstance(entry, Mapping):
-            raise ConfigError(f"{where}: must be a mapping with l1, l2, components")
-        unknown_keys = set(entry) - {"l1", "l2", "components"}
-        if unknown_keys:
-            raise ConfigError(f"{where}: unknown keys {sorted(unknown_keys)}")
+    creates = doc.get("create") or []
+    if not isinstance(creates, list):
+        raise ConfigError(f"{at('create')}'create' must be a list of l1/l2/components mappings")
+    for i, (entry, node) in enumerate(zip(creates, keys["create"][1].value if creates else ())):
         try:
-            l1 = Level1.parse(entry.get("l1", ""))
-        except InvalidAction as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-        l2 = entry.get("l2")
-        if not l2 or not isinstance(l2, str):
-            raise ConfigError(f"{where}: must name a fresh level-2 key under 'l2'")
-        items = entry.get("components")
-        if not isinstance(items, list) or not items:
-            raise ConfigError(f"{where}: 'components' must be a non-empty list")
-        specs = [_parse_spec_entry(item, where) for item in items]
-        try:
-            actions.append(ResolutionAction.create(l1, l2, specs))
-        except InvalidAction as exc:
-            raise ConfigError(str(exc)) from exc
+            actions.append(_created_action(entry))
+        except TaxonomyError as exc:
+            raise ConfigError(f"line {node.start_mark.line + 1}: create[{i}]: {exc}") from exc
 
     return system_name, actions
 
 
 def load_config(path: str | Path) -> tuple[str, list[ResolutionAction]]:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    """Read and parse a taxonomy configuration file; every error names ``path`` once."""
+    try:
+        return parse_config(decode_utf8(Path(path).read_bytes(), ConfigError))
+    except TaxonomyError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def config_skeleton(system_name: str = "my-system") -> str:

@@ -33,6 +33,7 @@ instants outside years 1 to 9999 raise :class:`OverflowError`.
 """
 from __future__ import annotations
 
+import io
 import json
 import re
 from collections.abc import Sequence
@@ -40,11 +41,11 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from .errors import EvalCardsError
+from .errors import EvalCardsError, decode_utf8
 from .taxonomy import ComponentModel, Level1
 
 __all__ = [
@@ -367,7 +368,7 @@ _REQUIRED_FIELDS = frozenset({"timestamp", "lv1_id", "lv2_id", "comp_id"})
 
 
 def parse_log(
-    stream: str | Iterable[str],
+    text: str,
     model: ComponentModel,
     *,
     user_id: str,
@@ -375,7 +376,7 @@ def parse_log(
     sort_timestamps: bool = False,
     allow_unknown_components: bool = False,
 ) -> Session:
-    """Parse one line-delimited log into a validated :class:`Session`.
+    """Parse the text of one line-delimited log into a validated :class:`Session`.
 
     Each record is checked once, in this order: JSON, fields, timestamp,
     ``lv1_id``, unknown component, hierarchy, ``other`` payload. Every
@@ -384,8 +385,10 @@ def parse_log(
     rejected. With ``allow_unknown_components``, records naming components
     outside the model are quarantined on the session instead of failing
     the parse.
+
+    ``text`` is split as a file is read: a line ends at ``\n``, ``\r\n``
+    or ``\r`` and nowhere else, so a raw U+2028 in a JSON string is text.
     """
-    lines = stream.splitlines() if isinstance(stream, str) else stream
     index = model.index
     components = model.components
     parse = parse_timestamp
@@ -393,7 +396,7 @@ def parse_log(
     idx_list: list[int] = []
     others: dict[int, Any] = {}
     quarantined: list[dict] = []
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
         if not line.strip():
             continue
         try:
@@ -462,19 +465,6 @@ def parse_log(
     )
 
 
-def _utf8_error(data: bytes) -> str:
-    """Name the first byte of ``data`` that is not valid UTF-8.
-
-    A text stream reports offsets within the chunk it was decoding, so the
-    whole file is decoded again to find the offset in the file.
-    """
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return f"byte {exc.start}: not valid UTF-8"
-    return "not valid UTF-8"
-
-
 def load_bundle(
     directory: str | Path,
     model: ComponentModel,
@@ -493,6 +483,7 @@ def load_bundle(
     if not paths:
         raise NoLogsFound(f"no *.jsonl files in {directory}")
 
+    flags = dict(sort_timestamps=sort_timestamps, allow_unknown_components=allow_unknown_components)
     sessions: list[Session] = []
     failures: list[tuple[str, str]] = []
     seen: dict[tuple[str, str], str] = {}
@@ -509,21 +500,10 @@ def load_bundle(
             )
         seen[key] = path.name
         try:
-            with path.open(encoding="utf-8") as fh:
-                sessions.append(
-                    parse_log(
-                        fh,
-                        model,
-                        user_id=user_id,
-                        task_id=task_id,
-                        sort_timestamps=sort_timestamps,
-                        allow_unknown_components=allow_unknown_components,
-                    )
-                )
+            text = decode_utf8(path.read_bytes(), TelemetryError)
+            sessions.append(parse_log(text, model, user_id=user_id, task_id=task_id, **flags))
         except TelemetryError as exc:
             failures.append((path.name, str(exc)))
-        except UnicodeDecodeError:
-            failures.append((path.name, _utf8_error(path.read_bytes())))
     if failures:
         raise BundleLoadError(failures)
 

@@ -1,8 +1,11 @@
 """Subcommand behavior, exit codes, and file handling."""
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -264,10 +267,12 @@ RATINGS_CSV_HEADER = "user_id,comp_id,efficiency,effectiveness\n"
         ("sus.csv", SUS_CSV_HEADER + "u01,3,x,3,3,3,3,3,3,3,3\n", 2),
         ("sus.csv", SUS_CSV_HEADER + "u01,3,3,3,3,9,3,3,3,3,3\n", 2),
         ("sus.csv", SUS_CSV_HEADER + "u01,3,3,3,3,3,3,3,3,3,3\n" + "u01,4,4,4,4,4,4,4,4,4,4\n", 3),
+        # a stray quote opens a field that runs past the csv module's size limit
+        ("ratings.csv", RATINGS_CSV_HEADER + "u01,open_dataset,3,3\n\"" + "x" * 140_000 + "\n", 3),
     ],
     ids=[
         "ratings-short", "ratings-not-int", "ratings-range",
-        "sus-short", "sus-not-int", "sus-range", "sus-duplicate-user",
+        "sus-short", "sus-not-int", "sus-range", "sus-duplicate-user", "ratings-field-too-large",
     ],
 )
 def test_analyze_bad_survey_row_names_file_and_row_once(
@@ -526,6 +531,158 @@ def test_render_compare_and_taxonomy_load_neither_numpy_nor_yaml(
     # taxonomy validate parses YAML, so only numpy must stay out of it
     assert loaded == {"render": "0 False False", "compare": "0 False False",
                       "taxonomy": "0 False True"}
+
+
+# --------------------------------------------------------------------------
+# input doors: every bad input file ends in exit 2 and names the file once
+# --------------------------------------------------------------------------
+
+COMMANDS = {
+    "analyze": ["analyze", "--taxonomy", "{w}/visus.yaml", "--logs", "{w}/tree/logs",
+                "--surveys", "{w}/tree/surveys", "--out", "{w}/out.json"],
+    "validate": ["taxonomy", "validate", "{w}/visus.yaml"],
+    "synth": ["synth", "--taxonomy", "{w}/visus.yaml", "--profile", "{w}/profile.yaml",
+              "--out", "{w}/synth"],
+    "render": ["render", "{w}/export.json", "--out", "{w}/reports"],
+}
+# Each input kind, its file in a door tree, and the command that reads it alone.
+DOORS = {
+    "log": ("tree/logs/u01_classification.jsonl", "analyze"),
+    "ratings": ("tree/surveys/ratings.csv", "analyze"),
+    "sus": ("tree/surveys/sus.csv", "analyze"),
+    "taxonomy": ("visus.yaml", "validate"),
+    "profile": ("profile.yaml", "synth"),
+    "export": ("export.json", "render"),
+}
+
+
+@pytest.fixture(scope="module")
+def door_tree(tmp_path_factory):
+    """A 3-user visus tree with its taxonomy, profile and export."""
+    base = tmp_path_factory.mktemp("doors")
+    (base / "visus.yaml").write_text(fixture_text("visus"), encoding="utf-8")
+    profile = PROFILE.replace("n_users: 4", "n_users: 3").replace(", regression", "")
+    (base / "profile.yaml").write_text(profile, encoding="utf-8")
+    assert run_in(base, "synth") == (0, "")
+    (base / "synth").rename(base / "tree")
+    assert run_in(base, "analyze") == (0, "")
+    (base / "out.json").rename(base / "export.json")
+    return base
+
+
+def run_in(work, command):
+    """Run ``command`` on the files under ``work``; return its exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([arg.format(w=work) for arg in COMMANDS[command]])
+    return code, err.getvalue()
+
+
+def door_copy(door_tree, tmp_path_factory, name):
+    work = tmp_path_factory.mktemp("door")
+    shutil.copytree(door_tree, work, dirs_exist_ok=True)
+    return work, work / DOORS[name][0]
+
+
+@pytest.mark.parametrize("door", list(DOORS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_every_input_door_exits_0_or_2_naming_the_file_once(door_tree, tmp_path_factory, door, data):
+    work, target = door_copy(door_tree, tmp_path_factory, door)
+    raw = target.read_bytes()
+    at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+    how = data.draw(st.sampled_from(["flip", "truncate", "insert"]), label="how")
+    if how == "flip":
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]), label="byte")
+        raw = raw[:at] + bytes([byte]) + raw[at + 1:]
+    elif how == "truncate":
+        raw = raw[:at]
+    else:
+        raw = raw[:at] + b"\xff" + raw[at:]
+    target.write_bytes(raw)
+    code, err = run_in(work, DOORS[door][1])
+    assert code in (0, 2), err
+    if code == 2:
+        # a log is named by its file name, in the list of logs that failed
+        assert err.count(target.name if door == "log" else str(target)) == 1, err
+
+
+def _line_of(key):
+    lines = fixture_text("visus").splitlines()
+    return 1 + next(i for i, text in enumerate(lines) if text.startswith(f"{key}:"))
+
+
+NOT_UTF8 = None  # the probe appends 0xFF, so the message names the old file size
+PROBES = [
+    ("sus", lambda raw: raw + b"\xff", "analyze", NOT_UTF8),
+    ("ratings", lambda raw: raw + b"\xff", "analyze", NOT_UTF8),
+    ("taxonomy", lambda raw: raw + b"\xff", "validate", NOT_UTF8),
+    ("taxonomy", lambda raw: raw + b"\xff", "analyze", NOT_UTF8),
+    ("profile", lambda raw: raw + b"\xff", "synth", NOT_UTF8),
+    ("ratings", lambda raw: raw.replace(b",open_dataset,", b",nope,"), "analyze",
+     "rating for comp_id 'nope' which is not in model 'visus'"),
+    *[
+        (
+            "taxonomy",
+            lambda raw: raw.replace(b"compare_models: apply", b"compare_models: applyy"),
+            command,
+            f"no action chosen for: compare_models (line {_line_of('compare_models')}) "
+            "(each entry must be one of: apply, subdivide, drop)",
+        )
+        for command in ("validate", "analyze", "synth")
+    ],
+    (
+        "taxonomy",
+        lambda raw: b"create:\n  - l1: model\n    l2: explain_model\n    components: [a]\n" + raw,
+        "validate",
+        "created level-2 key 'explain_model' collides with a reference key",
+    ),
+    (
+        "taxonomy",
+        lambda raw: raw.replace(b"augment_dataset: drop\n", b""),
+        "analyze",
+        "no action assigned for reference level-2 functionality: augment_dataset",
+    ),
+    (
+        "taxonomy",
+        lambda raw: raw.replace(b"see_pdp, label", b"see_pdp, labl"),
+        "validate",
+        f"line {_line_of('explain_model')}: explain_model: unknown component keys ['labl']",
+    ),
+    (
+        "profile",
+        lambda raw: b"archetype: linear\n]\n",
+        "synth",
+        "line 2, column 1: not valid YAML (expected <block end>, but found ']')",
+    ),
+    ("profile", lambda raw: raw.replace(b"n_users: 3", b"n_users: 0"), "synth",
+     "line 2: n_users must be >= 1, got 0"),
+    ("profile", lambda raw: raw.replace(b"seed: 7", b"seed: x"), "synth",
+     "line 5: bad profile value: invalid literal for int() with base 10: 'x'"),
+]
+
+
+@pytest.mark.parametrize(
+    "door, corrupt, command, message",
+    PROBES,
+    ids=[f"{door}-{command}-{i}" for i, (door, _, command, _) in enumerate(PROBES)],
+)
+def test_bad_input_probe_names_file_and_location(
+    door_tree, tmp_path_factory, door, corrupt, command, message
+):
+    work, target = door_copy(door_tree, tmp_path_factory, door)
+    raw = target.read_bytes()
+    target.write_bytes(corrupt(raw))
+    if message is NOT_UTF8:
+        message = f"byte {len(raw)}: not valid UTF-8"
+    assert run_in(work, command) == (2, f"error: {target}: {message}\n")
+
+
+def test_render_of_a_bad_export_leaves_no_out_dir(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{", encoding="utf-8")
+    assert run(["render", bad, "--out", tmp_path / "rep"]) == 2
+    assert not (tmp_path / "rep").exists()
 
 
 # --------------------------------------------------------------------------

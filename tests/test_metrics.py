@@ -262,18 +262,17 @@ def test_linearity_matches_exhaustive_pairwise_oracle(visus_model):
         assert 0.0 <= index.value <= 1.0
 
 
-def test_linearity_from_matrix_equals_linearity_from_sessions(visus_model):
+def test_pooled_linearity_equals_sum_of_session_linearities(visus_model):
     bundle = random_bundle(visus_model, n_users=5, seed=31)
     order = visus_model.comp_ids
-    matrix = transition_matrix(bundle.sessions, visus_model)
-    from_matrix = linearity(matrix, order)
+    pooled = compute_metric_set(bundle).pooled_linearity
     forward = backward = selfs = 0
     for session in bundle.sessions:
         idx = linearity(session, order)
         forward += idx.forward_count
         backward += idx.backward_count
         selfs += idx.self_count
-    assert (from_matrix.forward_count, from_matrix.backward_count, from_matrix.self_count) == (
+    assert (pooled.forward_count, pooled.backward_count, pooled.self_count) == (
         forward,
         backward,
         selfs,

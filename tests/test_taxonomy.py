@@ -352,6 +352,33 @@ def test_config_subdivide_needs_component_list():
         parse_config(text)
 
 
+APPLIED = config_skeleton("x").replace("unassigned", "apply")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the line of the key or item at fault, from the YAML nodes
+        (APPLIED + "mystery_key: apply\n", "line 46: unknown top-level key 'mystery_key'"),
+        (
+            APPLIED.replace("open_dataset: apply", "open_dataset:\n  subdivide: [{id: a, 1: b, x: c}]"),
+            r"line 21: open_dataset: unknown component keys \[1, 'x'\]",
+        ),
+        (
+            APPLIED + "create:\n  - l1: model\n    l2: tune\n    components: [a]\n"
+            "  - l1: moon\n    l2: other\n    components: [b]\n",
+            r"line 50: create\[1\]: unknown level-1 id 'moon'",
+        ),
+        ("system_name: x\nopen_dataset: [\n", "line 3, column 1: not valid YAML"),
+        ("system_name: x\x01\n", "character 14: not valid YAML"),
+    ],
+    ids=["unknown-key", "spec-keys-of-mixed-types", "create-item", "yaml-syntax", "yaml-character"],
+)
+def test_config_error_names_its_location(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+
+
 def test_create_alongside_retained_l1_is_flagged_not_fatal():
     actions = apply_all_actions() + [
         ResolutionAction.create("model", "tune_model", [("adjust_depth", "Adjust depth")])

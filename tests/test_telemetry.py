@@ -440,6 +440,34 @@ def test_load_bundle_of_one_file(tmp_path, identity_model):
     assert len(bundle) == 1
 
 
+def test_parse_log_splits_lines_as_load_bundle_does(tmp_path, visus_model):
+    # A line ends at \n, \r\n or \r and nowhere else: a raw U+2028 inside a
+    # JSON string is part of its line, as it is when the file is read.
+    records = [
+        line("2024-01-01T00:00:00Z", "data", "open_dataset", "open_dataset"),
+        line("2024-01-01T00:01:00Z", "problem", "specify_problem", "select_target_metric",
+             other={"note": "a\u2028b\u0085c"}),
+        line("2024-01-01T00:02:00Z", "model", "export_model", "export_model"),
+    ]
+    raw = "\r\n".join(records[:2]) + "\r" + records[2] + "\n"
+    raw = raw.replace("\\u2028", "\u2028").replace("\\u0085", "\u0085")
+    assert "\u2028" in raw and "\x85" in raw
+    log = tmp_path / "u1_t.jsonl"
+    log.write_bytes(raw.encode("utf-8"))
+    session = parse_log(raw, visus_model, user_id="u1", task_id="t")
+    assert load_bundle(tmp_path, visus_model).sessions == (session,)
+    assert session.other == {1: {"note": "a\u2028b\u0085c"}}
+
+    bad = raw + "\r\nnot json\n"
+    log.write_bytes(bad.encode("utf-8"))
+    with pytest.raises(MalformedRecord) as parsed:
+        parse_log(bad, visus_model, user_id="u1", task_id="t")
+    with pytest.raises(BundleLoadError) as loaded:
+        load_bundle(tmp_path, visus_model)
+    assert str(parsed.value).startswith("line 5: ")
+    assert loaded.value.failures == (("u1_t.jsonl", str(parsed.value)),)
+
+
 def test_no_logs_found(tmp_path, identity_model):
     with pytest.raises(NoLogsFound):
         load_bundle(tmp_path, identity_model)
