@@ -253,7 +253,7 @@ def cmd_synth(args) -> int:
     from .synth import generate_bundle, load_profile, write_fixture_tree
 
     model = _load_model(args.taxonomy)
-    profile = load_profile(args.profile, seed_override=args.seed)
+    profile = load_profile(args.profile, seed_override=args.seed, model=model)
 
     out_dir = Path(args.out)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:

@@ -490,6 +490,8 @@ def load_export(data: bytes) -> dict:
         doc = json.loads(text, parse_constant=_reject_constant)
     except ValueError as exc:  # a JSONDecodeError, or NaN/Infinity
         raise ExportSchemaError(f"not valid JSON ({getattr(exc, 'msg', exc)})") from exc
+    except RecursionError:
+        raise ExportSchemaError("not valid JSON (nested too deeply)") from None
     del text
     validate_export(doc)
     return doc

@@ -88,7 +88,7 @@ class ProfileError(SynthError):
         self.key = key
 
 
-class IterationPairNotInModel(SynthError):
+class IterationPairNotInModel(ProfileError):
     pass
 
 
@@ -158,9 +158,12 @@ class SynthProfile:
         return out
 
 
-def parse_profile(text: str, *, seed_override: int | None = None) -> SynthProfile:
+def parse_profile(
+    text: str, *, seed_override: int | None = None, model: ComponentModel | None = None
+) -> SynthProfile:
     """Parse a profile document. An error about one key starts with
-    ``line L:``, the line of that key."""
+    ``line L:``, the line of that key. With ``model``, an ``iteration_pair``
+    must name two of its components."""
     doc, keys = yaml_document(text, ProfileError)
     if not isinstance(doc, Mapping):
         raise ProfileError("profile must be a mapping")
@@ -191,7 +194,7 @@ def parse_profile(text: str, *, seed_override: int | None = None) -> SynthProfil
         pair = doc.get("iteration_pair")
         if pair is not None and (not isinstance(pair, list) or len(pair) != 2):
             raise ProfileError("iteration_pair must be a two-element list", "iteration_pair")
-        return SynthProfile(
+        profile = SynthProfile(
             archetype=archetype,
             n_users=value("n_users", int, doc.get("n_users", 0)),
             tasks=value("tasks", lambda ts: tuple(map(str, ts)), doc.get("tasks") or []),
@@ -200,16 +203,23 @@ def parse_profile(text: str, *, seed_override: int | None = None) -> SynthProfil
             seed=value("seed", int, doc.get("seed", 0) if seed_override is None else seed_override),
             iteration_pair=None if pair is None else (str(pair[0]), str(pair[1])),
         )
+        if model is not None:
+            _check_iteration_pair(model, profile)
+        return profile
     except ProfileError as exc:
         at = f"line {keys[exc.key][0]}: " if exc.key in keys else ""
         raise ProfileError(at + str(exc)) from None
 
 
-def load_profile(path: str | Path, *, seed_override: int | None = None) -> SynthProfile:
+def load_profile(
+    path: str | Path, *, seed_override: int | None = None, model: ComponentModel | None = None
+) -> SynthProfile:
     """Read and parse a profile file; every error names ``path`` once."""
     try:
         return parse_profile(
-            decode_utf8(Path(path).read_bytes(), ProfileError), seed_override=seed_override
+            decode_utf8(Path(path).read_bytes(), ProfileError),
+            seed_override=seed_override,
+            model=model,
         )
     except ProfileError as exc:
         raise ProfileError(f"{path}: {exc}") from exc
@@ -228,6 +238,17 @@ def _forward_walk(rng: SplitMix64, n: int) -> list[int]:
     return seq
 
 
+def _check_iteration_pair(model: ComponentModel, profile: SynthProfile) -> None:
+    if profile.iteration_pair is None:
+        return
+    missing = [c for c in profile.iteration_pair if c not in model.index]
+    if missing:
+        raise IterationPairNotInModel(
+            f"iteration pair component(s) {missing} not in model {model.system_name!r}",
+            "iteration_pair",
+        )
+
+
 def _archetype_indices(model: ComponentModel, profile: SynthProfile, rng: SplitMix64) -> list[int]:
     n = len(model.comp_ids)
     kind = profile.archetype
@@ -239,13 +260,8 @@ def _archetype_indices(model: ComponentModel, profile: SynthProfile, rng: SplitM
         length = rng.randint(max(8, n), max(12, 4 * n))
         return [rng.randint(0, n - 1) for _ in range(length)]
 
-    assert profile.iteration_pair is not None
+    _check_iteration_pair(model, profile)
     index = model.index
-    missing = [c for c in profile.iteration_pair if c not in index]
-    if missing:
-        raise IterationPairNotInModel(
-            f"iteration pair component(s) {missing} not in model {model.system_name!r}"
-        )
     lo, hi = sorted(index[c] for c in profile.iteration_pair)
     seq: list[int] = []
     for i in range(n):

@@ -577,10 +577,11 @@ def _created_action(entry) -> ResolutionAction:
     return ResolutionAction.create(l1, l2, [_parse_spec_entry(item) for item in items])
 
 
-def yaml_document(text: str, error: type[EvalCardsError]) -> tuple[Any, dict[str, tuple[int, Any]]]:
+def yaml_document(text: str, error: type[EvalCardsError]) -> tuple[Any, dict[Any, tuple[int, Any]]]:
     """Load one YAML document as ``yaml.safe_load`` does, and return it with
     the 1-based line and the value node of each top-level key, from the
-    node marks. Text that is not YAML raises ``error`` with its location.
+    node marks. The keys are the document's own, so ``1:`` is keyed by the
+    integer 1. Text that is not YAML raises ``error`` with its location.
     """
     import yaml  # here, so that reading an export never loads the YAML parser
 
@@ -589,8 +590,12 @@ def yaml_document(text: str, error: type[EvalCardsError]) -> tuple[Any, dict[str
         try:
             node = loader.get_single_node()
             doc = None if node is None else loader.construct_document(node)
+            pairs = node.value if isinstance(node, yaml.MappingNode) else ()
+            keys = {loader.construct_object(k, deep=True): (k.start_mark.line + 1, v) for k, v in pairs}
         finally:
             loader.dispose()
+    except RecursionError:
+        raise error("not valid YAML (nested too deeply)") from None
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = f"line {mark.line + 1}, column {mark.column + 1}"
@@ -598,8 +603,7 @@ def yaml_document(text: str, error: type[EvalCardsError]) -> tuple[Any, dict[str
     except yaml.reader.ReaderError as exc:  # a character that YAML does not allow
         where = f"character {exc.position}"
         raise error(f"{where}: not valid YAML (#x{exc.character:04x}: {exc.reason})") from None
-    pairs = node.value if isinstance(node, yaml.MappingNode) else ()
-    return doc, {k.value: (k.start_mark.line + 1, v) for k, v in pairs if isinstance(k.value, str)}
+    return doc, keys
 
 
 def parse_config(text: str) -> tuple[str, list[ResolutionAction]]:

@@ -10,18 +10,23 @@ and quarantining unknown components are explicit opt-ins.
 A :class:`Session` is columnar. ``ts_ms`` is an int64 array of record
 instants and ``comp_idx`` an int32 array of positions in the model's
 canonical order, ``model.comp_ids``. ``other`` maps the row of each record
-that carries an ``other`` payload to that payload. :func:`parse_log` checks
-each record once, in one pass that also fills these columns.
-``Session.records`` is a lazy, read-only view over the columns that builds
-one :class:`LogRecord` per row on access.
+that carries an ``other`` payload to that payload. ``Session.records`` is a
+lazy, read-only view over the columns that builds one :class:`LogRecord` per
+row on access.
+
+:func:`parse_log` reads a file whose every line has the exact shape that
+:func:`session_to_jsonl` writes in one scan: one anchored pattern over the
+whole text, the writer's per-component line prefixes as the lookup table,
+and one numpy call for all the stamps. Any other file is read line by line,
+each record checked once, with the same results and messages.
 
 Timestamps are any common ISO-8601 calendar date-time (extended or basic
 form, comma or dot fractions, ``Z`` or numeric offsets; week and ordinal
 dates are not supported). They are normalized to UTC milliseconds; offsets
 are honored and then discarded, sub-millisecond digits truncate. The
 canonical shape ``YYYY-MM-DDTHH:MM:SS.sssZ``, which ``synth`` writes and
-:func:`format_timestamp` returns, takes a strict fast path; every other form
-goes through the general pattern.
+:func:`format_timestamp` returns, takes a strict fast path in
+:func:`parse_timestamp`; every other form goes through the general pattern.
 
 Writing runs on the columns too. :func:`session_to_jsonl` formats all of a
 session's stamps in one ``np.datetime_as_string`` call, and builds each
@@ -388,7 +393,113 @@ def parse_log(
 
     ``text`` is split as a file is read: a line ends at ``\n``, ``\r\n``
     or ``\r`` and nowhere else, so a raw U+2028 in a JSON string is text.
+
+    A text whose every line has the exact shape that :func:`session_to_jsonl`
+    writes is read in one scan; any other text is read line by line, with
+    the same results and messages.
     """
+    columns = _scan_log(text, model)
+    if columns is None:
+        columns = _read_lines(text, model, allow_unknown_components)
+        if not len(columns[0]):
+            raise EmptyLog(f"log for {user_id}/{task_id} contains no records")
+    ts_ms, comp_idx, others, quarantined = columns
+    if sort_timestamps:
+        order = np.argsort(ts_ms, kind="stable")  # stable: preserves input order on ties
+        ts_ms, comp_idx = ts_ms[order], comp_idx[order]
+        if others:
+            row_of = np.empty_like(order)
+            row_of[order] = np.arange(len(order))
+            others = {int(row_of[row]): other for row, other in others.items()}
+    try:
+        return Session(
+            user_id=user_id,
+            task_id=task_id,
+            model=model,
+            ts_ms=ts_ms,
+            comp_idx=comp_idx,
+            other=others,
+            quarantined=tuple(quarantined),
+        )
+    except NonMonotonicTimestamps as exc:
+        row = int(np.flatnonzero(np.diff(ts_ms) < 0)[0]) + 1
+        raise NonMonotonicTimestamps(f"line {_line_of_row(text, row, quarantined)}: {exc}") from None
+
+
+def _line_of_row(text: str, row: int, quarantined: Sequence[Mapping]) -> int:
+    """The line number of record ``row``: the lines that are neither blank
+    nor quarantined hold the records, in order."""
+    skipped = {q["line"] for q in quarantined}
+    lines = enumerate(io.StringIO(text, newline=None), start=1)
+    return [n for n, line in lines if line.strip() and n not in skipped][row]
+
+
+# One line exactly as session_to_jsonl writes it: the component's prefix,
+# an optional 'other' object, and a canonical stamp. Digits are [0-9], not
+# \d, which also matches non-ASCII digits.
+_LINE_RE = re.compile(
+    r'^(\{"comp_id": "[a-z0-9_]+", "lv1_id": "[a-z0-9_]+", "lv2_id": "[a-z0-9_]+", )'
+    r'(?:"other": (\{.*\}), )?'
+    r'"timestamp": "([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3})Z"\}\n',
+    re.M,
+)
+_scan_json = json.JSONDecoder().scan_once
+# ts_ms, comp_idx, each row's 'other' payload if it has one, quarantined records
+_Columns = tuple[np.ndarray, np.ndarray, dict[int, Any], Sequence[dict]]
+
+
+@lru_cache(maxsize=16)
+def _prefix_table(model: ComponentModel) -> tuple[dict[str, int], tuple[bool, ...]]:
+    """Each line prefix of ``model`` to its component's index, and per index
+    whether that component may carry an ``other`` payload."""
+    table = {prefix: idx for idx, prefix in enumerate(_line_prefixes(model))}
+    return table, tuple(c.l2_id in OTHER_ALLOWED_L2 for c in model.components)
+
+
+def _scan_log(text: str, model: ComponentModel) -> _Columns | None:
+    """The columns of a log in which every line has the exact ``synth`` shape
+    and passes every check, read in one scan; None for any other text.
+
+    The matches tile the text line by line: there is no ``\\r``, the last
+    line matches, so the text ends with ``\\n``, each match starts at a line
+    start and holds one ``\\n``, its last character, and there are as many
+    matches as ``\\n``. A matched prefix names a known component with its
+    own level-1 and level-2 ids, so such a line is a valid record, with the
+    values that ``json.loads`` would give, once its ``other`` is one JSON
+    object on a component that allows it and its stamp is a real instant.
+    """
+    if "\r" in text:
+        return None
+    # The first and the last line are tried before the rest, so that a file
+    # with few canonical lines, such as a rewritten one, costs two matches.
+    last = text.rfind("\n", 0, -1) + 1
+    if not (_LINE_RE.match(text) and _LINE_RE.match(text, last)):
+        return None
+    rows = _LINE_RE.findall(text)
+    if len(rows) != text.count("\n"):
+        return None
+    prefixes, payloads, stamps = zip(*rows)
+    table, allows_other = _prefix_table(model)
+    try:
+        idx = [table[prefix] for prefix in prefixes]
+        others = {}
+        for row, payload in enumerate(payloads):
+            if payload:  # it starts with '{', so scan_once returns a dict or raises
+                other, end = _scan_json(payload, 0)
+                if end != len(payload) or not allows_other[idx[row]]:
+                    return None
+                others[row] = other
+        # numpy rejects hour 24, second 60, 30 February and month 13
+        ts_ms = np.array(stamps, dtype="S23").astype("datetime64[ms]").astype(np.int64)
+    except (KeyError, StopIteration, ValueError, RecursionError):
+        return None
+    if ts_ms.min() < _MIN_MS:  # year 0000, which the general path rejects
+        return None
+    return ts_ms, np.array(idx, dtype=np.int32), others, ()
+
+
+def _read_lines(text: str, model: ComponentModel, allow_unknown_components: bool) -> _Columns:
+    """The columns of any log, checked record by record; every error names its line."""
     index = model.index
     components = model.components
     parse = parse_timestamp
@@ -404,6 +515,8 @@ def parse_log(
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(f"not valid JSON ({exc.msg})") from exc
+            except RecursionError as exc:
+                raise MalformedRecord("not valid JSON (nested too deeply)") from exc
             if not isinstance(raw, dict):
                 raise MalformedRecord("record must be a JSON object")
             if not raw.keys() <= _RECORD_FIELDS:
@@ -443,26 +556,7 @@ def parse_log(
         ts_list.append(ts_ms)
         idx_list.append(idx)
 
-    if not ts_list:
-        raise EmptyLog(f"log for {user_id}/{task_id} contains no records")
-    ts_ms = np.array(ts_list, dtype=np.int64)
-    comp_idx = np.array(idx_list, dtype=np.int32)
-    if sort_timestamps:
-        order = np.argsort(ts_ms, kind="stable")  # stable: preserves input order on ties
-        ts_ms, comp_idx = ts_ms[order], comp_idx[order]
-        if others:
-            row_of = np.empty_like(order)
-            row_of[order] = np.arange(len(order))
-            others = {int(row_of[row]): other for row, other in others.items()}
-    return Session(
-        user_id=user_id,
-        task_id=task_id,
-        model=model,
-        ts_ms=ts_ms,
-        comp_idx=comp_idx,
-        other=others,
-        quarantined=tuple(quarantined),
-    )
+    return np.array(ts_list, dtype=np.int64), np.array(idx_list, dtype=np.int32), others, quarantined
 
 
 def load_bundle(

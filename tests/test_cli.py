@@ -659,6 +659,40 @@ PROBES = [
      "line 2: n_users must be >= 1, got 0"),
     ("profile", lambda raw: raw.replace(b"seed: 7", b"seed: x"), "synth",
      "line 5: bad profile value: invalid literal for int() with base 10: 'x'"),
+    (
+        "profile",
+        lambda raw: raw.replace(b"linear", b"iterative") + b"iteration_pair: [nope, see_pdp]\n",
+        "synth",
+        "line 6: iteration pair component(s) ['nope'] not in model 'visus'",
+    ),
+    (
+        "taxonomy",
+        lambda raw: b"1: apply\nfoo: x\nsystem_name: a\n",
+        "validate",
+        "line 1: unknown top-level key 1 (expected the reference level-2 keys, 'system_name', 'create')",
+    ),
+    # Input nested deeper than the decoders recurse.
+    (
+        "log",
+        lambda raw: raw.replace(
+            b'"timestamp"', b'"other": ' + b'{"a": ' * 100_000 + b"1" + b"}" * 100_000 + b', "timestamp"', 1
+        ),
+        "analyze",
+        "line 1: not valid JSON (nested too deeply)",
+    ),
+    ("export", lambda raw: b"[" * 100_000 + b"]" * 100_000, "render", "not valid JSON (nested too deeply)"),
+    (
+        "taxonomy",
+        lambda raw: raw.replace(b"system_name: visus", b"system_name: " + b"[" * 5_000 + b"]" * 5_000),
+        "validate",
+        "not valid YAML (nested too deeply)",
+    ),
+    (
+        "log",
+        lambda raw: b"".join([raw.splitlines(True)[1], raw.splitlines(True)[0], *raw.splitlines(True)[2:]]),
+        "analyze",
+        "line 2: session u01/classification has decreasing timestamps",
+    ),
 ]
 
 
@@ -675,7 +709,9 @@ def test_bad_input_probe_names_file_and_location(
     target.write_bytes(corrupt(raw))
     if message is NOT_UTF8:
         message = f"byte {len(raw)}: not valid UTF-8"
-    assert run_in(work, command) == (2, f"error: {target}: {message}\n")
+    # a log is named by its file name, in the list of logs that failed
+    named = f"1 log file(s) failed to load:\n  {target.name}" if door == "log" else target
+    assert run_in(work, command) == (2, f"error: {named}: {message}\n")
 
 
 def test_render_of_a_bad_export_leaves_no_out_dir(tmp_path):

@@ -1,10 +1,12 @@
 """Log parsing, timestamp normalization, and bundle loading."""
 import json
+import re
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import oracle_session_jsonl
 
@@ -404,6 +406,123 @@ def test_round_trip_preserves_records(visus_model):
 
 
 # --------------------------------------------------------------------------
+# The one-scan read agrees with the per-line loop
+# --------------------------------------------------------------------------
+
+# Stamps of the canonical shape that name no instant the general path accepts.
+_BAD_STAMPS = (
+    "0000-01-01T00:00:00.000",  # year 0, which numpy accepts
+    "2024-01-01T24:00:00.000",
+    "2023-02-29T12:00:00.000",
+    "2024-01-01T00:00:60.000",
+)
+# Payloads of an 'other' key inserted before "timestamp": JSON that is no
+# object, an object on a component that may not carry one, a nested stamp,
+# a text that is not one JSON value, and \r as JSON whitespace, which ends a
+# line when the file is read.
+_OTHERS = (
+    "null", "[1]", "{}", '{"x": 1}', '{"x":\r1}',
+    '{"a": {"timestamp": "2024-01-01T00:00:00.000Z"}}',
+    '{"a": 1}, "timestamp": "2024-01-01T00:00:00.000Z"}',
+)
+# Each turns one canonical line into a line that the scan must not take as is.
+_ADVERSARIAL = {
+    "blank": lambda line, model, draw: draw(st.sampled_from(["", "  "])),
+    "text-before": lambda line, model, draw: draw(st.sampled_from(["x", " ", "{}"])) + line,
+    "crlf": lambda line, model, draw: line + "\r",
+    "bad-stamp": lambda line, model, draw: line[:-26] + draw(st.sampled_from(_BAD_STAMPS)) + 'Z"}',
+    "other": lambda line, model, draw: line.replace(
+        '"timestamp"', '"other": ' + draw(st.sampled_from(_OTHERS)) + ', "timestamp"', 1
+    ),
+    "upper-lv1": lambda line, model, draw: re.sub(
+        r'"lv1_id": "([a-z]+)"', lambda m: f'"lv1_id": "{m[1].upper()}"', line, count=1
+    ),
+    "unknown-comp": lambda line, model, draw: line.replace('"comp_id": "', '"comp_id": "no_such_', 1),
+    "wrong-lv2": lambda line, model, draw: line.replace(
+        '"lv2_id": "', '"lv2_id": "' + draw(st.sampled_from(model.l2_order)) + "_", 1
+    ),
+}
+
+
+@st.composite
+def drawn_logs(draw):
+    """A model and a log text: canonical synth lines with up to two lines
+    made adversarial, and a last line that may lack its newline. The flag
+    is True if every line is as synth writes it."""
+    model = draw(st.sampled_from(SHIPPED_MODELS))
+    n = draw(st.integers(1, 8))
+    stamps = draw(st.lists(st.integers(FIRST_MS, LAST_MS), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        stamps.sort()
+    lines = []
+    for ms in stamps:
+        idx = draw(st.integers(0, len(model) - 1))
+        other = {}
+        if model.components[idx].l2_id in telemetry.OTHER_ALLOWED_L2 and draw(st.booleans()):
+            other = {0: draw(st.dictionaries(_TEXT, _PAYLOADS, max_size=3))}
+        lines.append(session_to_jsonl(Session("u1", "t", model, [ms], [idx], other))[:-1])
+    bad = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(sorted(_ADVERSARIAL))), max_size=2))
+    for row, kind in bad:
+        lines[row] = _ADVERSARIAL[kind](lines[row], model, draw)
+    text = "\n".join(lines)
+    cut = draw(st.integers(0, 4)) == 0  # the last line has no newline
+    return model, text if cut else text + "\n", not (bad or cut)
+
+
+def _parsed(text, model, **flags):
+    try:
+        return parse_log(text, model, user_id="u1", task_id="t", **flags)
+    except telemetry.TelemetryError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_OPEN = '{"comp_id": "open_dataset", "lv1_id": "data", "lv2_id": "open_dataset", "timestamp": "2024-01-01T00:00:00.000Z"}\n'
+_TARGET = (
+    '{"comp_id": "select_target_metric", "lv1_id": "problem", "lv2_id": "specify_problem", '
+    '"timestamp": "2024-01-01T00:00:01.000Z"}\n'
+)
+
+
+def _with_other(line, payload):
+    return line.replace('"timestamp"', f'"other": {payload}, "timestamp"', 1)
+
+
+@settings(max_examples=300)
+@given(drawn_logs(), st.booleans(), st.booleans())
+@example((SHIPPED_MODELS[0], _OPEN + _TARGET, True), False, False)
+@example((SHIPPED_MODELS[0], _OPEN + "x" + _OPEN + _TARGET, False), False, False)  # text before a record
+@example((SHIPPED_MODELS[0], _OPEN + _TARGET[:-1], False), False, False)  # no last newline
+@example((SHIPPED_MODELS[0], _OPEN.replace("2024", "0000") + _TARGET, False), False, False)
+@example((SHIPPED_MODELS[0], _with_other(_OPEN, '{"x": 1}') + _TARGET, False), False, False)
+@example((SHIPPED_MODELS[0], _OPEN + _with_other(_TARGET, '{"x":\r1}'), False), False, False)
+@example((SHIPPED_MODELS[0], _OPEN + _with_other(_TARGET, _OTHERS[-1]), False), False, False)
+def test_scan_agrees_with_the_per_line_loop(log, sort_timestamps, allow_unknown_components):
+    model, text, canonical = log
+    flags = dict(sort_timestamps=sort_timestamps, allow_unknown_components=allow_unknown_components)
+    with mock.patch.object(telemetry, "_scan_log", lambda text, model: None):
+        expected = _parsed(text, model, **flags)
+    assert _parsed(text, model, **flags) == expected
+    if canonical:  # every line as synth writes it: the scan reads the whole file
+        assert telemetry._scan_log(text, model) is not None
+
+
+@given(canonical_shaped())
+@example("0000-01-01T00:00:00.000Z")  # year 0, which numpy accepts
+@example("0001-01-01T00:00:00.000Z")
+@example("9999-12-31T23:59:59.999Z")
+@example("2023-02-29T00:00:00.000Z")
+@example("2024-02-29T23:59:59.999Z")
+@example("2024-01-01T24:00:00.000Z")
+@example("2024-01-01T00:00:60.000Z")
+@example("2024-13-01T00:00:00.000Z")
+def test_scan_reads_each_stamp_as_the_per_line_loop_does(stamp):
+    text = _OPEN.replace("2024-01-01T00:00:00.000Z", stamp)
+    with mock.patch.object(telemetry, "_scan_log", lambda text, model: None):
+        expected = _parsed(text, SHIPPED_MODELS[0])
+    assert _parsed(text, SHIPPED_MODELS[0]) == expected
+
+
+# --------------------------------------------------------------------------
 # Bundles
 # --------------------------------------------------------------------------
 
@@ -508,16 +627,21 @@ def test_bundle_construction_revalidates_sessions(identity_model, visus_model):
 
 def test_load_bundle_checks_each_record_once(tmp_path, visus_model, monkeypatch):
     synth_tree(tmp_path, visus_model)
-    # every record passes the fused check, and so its timestamp check, once
     checked = []
     check = telemetry.parse_timestamp
     monkeypatch.setattr(
         telemetry, "parse_timestamp", lambda text: checked.append(text) or check(text)
     )
+    # a synth tree is read in one scan per file, which never calls parse_timestamp
     bundle = load_bundle(tmp_path / "logs", visus_model)
-    assert len(checked) == sum(len(s.records) for s in bundle.sessions)
+    assert checked == []
+    # a file that falls back to the per-line loop checks each record once
+    log = sorted((tmp_path / "logs").glob("*.jsonl"))[0]
+    log.write_bytes(log.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_bundle(tmp_path / "logs", visus_model) == bundle
+    assert len(checked) == len(bundle.sessions[0].ts_ms)
     SessionBundle(model=visus_model, sessions=bundle.sessions)
-    assert len(checked) == sum(len(s.records) for s in bundle.sessions)
+    assert len(checked) == len(bundle.sessions[0].ts_ms)
 
 
 def test_per_file_failures_collected(tmp_path, identity_model):
