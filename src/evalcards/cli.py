@@ -14,12 +14,13 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .cards import comparison_order, render_between_parsed, render_within_parsed
 from .errors import EvalCardsError
 from .export import DEFAULT_IDLE_CAP_MS, export_metrics, load_export
-from .serialize import canonical_json, sha256_hex
+from .serialize import sha256_hex, write_canonical_json
 from .survey import component_attitudes, load_ratings_csv, load_sus_csv, sus_scores_by_user
 from .taxonomy import ComponentModel, config_skeleton, load_config, resolution_warnings, resolve_model
 
@@ -78,22 +79,34 @@ def _check_overwrite(path: Path, force: bool) -> None:
         raise CliError(f"{path} already exists (pass --force to overwrite)")
 
 
-def _write_atomic(path: Path, text: str) -> bytes:
-    """Write ``text`` to ``path`` as UTF-8 and return the bytes written.
+def _write_atomic(path: Path, text: str | Callable[[Callable[[str], None]], object]) -> str:
+    """Write ``text`` to ``path`` as UTF-8 and return the sha256 of the bytes.
 
-    The bytes go to a temporary file in the same directory, which then
-    replaces ``path``, so ``path`` holds either its old bytes or all of the
-    new ones, never a part.
+    ``text`` is the whole text, or a function that hands it, in chunks, to
+    the sink it is given. Each chunk is encoded, hashed and written to a
+    temporary file in the same directory, which then replaces ``path``, so
+    ``path`` holds either its old bytes or all of the new ones, never a
+    part, even when the function raises partway.
     """
-    data = text.encode("utf-8")
+    digest = hashlib.sha256()
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        temp.write_bytes(data)
+        with temp.open("wb") as file:
+
+            def sink(chunk: str) -> None:
+                data = chunk.encode("utf-8")
+                digest.update(data)
+                file.write(data)
+
+            if isinstance(text, str):
+                sink(text)
+            else:
+                text(sink)
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
-    return data
+    return digest.hexdigest()
 
 
 def _write_report(path: Path, html: str, inputs: dict[str, str], force: bool) -> None:
@@ -106,11 +119,11 @@ def _write_report(path: Path, html: str, inputs: dict[str, str], force: bool) ->
     manifest_path = path.with_suffix(path.suffix + ".manifest.json")
     _check_overwrite(path, force)
     _check_overwrite(manifest_path, force)
-    data = _write_atomic(path, html)
+    digest = _write_atomic(path, html)
     manifest = {
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "inputs": inputs,
-        "output": {path.name: sha256_hex(data)},
+        "output": {path.name: digest},
     }
     _write_atomic(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
@@ -165,7 +178,7 @@ def cmd_analyze(args) -> int:
         ratings_path = surveys / "ratings.csv"
         sus_path = surveys / "sus.csv"
         if ratings_path.exists():
-            ratings = load_ratings_csv(ratings_path)
+            ratings = load_ratings_csv(ratings_path, model=model)
         else:
             _warn(f"{ratings_path} not found; attitudinal sections will carry no_data")
         if sus_path.exists():
@@ -177,17 +190,14 @@ def cmd_analyze(args) -> int:
     metric_set = compute_metric_set(
         bundle, idle_cap_ms=args.idle_cap, collapse_repeats=args.collapse_repeats
     )
-    try:
-        attitudes = component_attitudes(ratings, model)
-    except EvalCardsError as exc:  # a rating of a component that the model lacks
-        raise CliError(f"{ratings_path}: {exc}") from exc
+    attitudes = component_attitudes(ratings, model)
     stats = descriptive(bundle, sus_scores)
     export = export_metrics(metric_set, attitudes, stats)
 
     out = Path(args.out)
     _check_overwrite(out, args.force)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out, canonical_json(export))
+    _write_atomic(out, lambda sink: write_canonical_json(export, sink))
     print(
         f"{model.system_name}: sessions={len(bundle)} users={len(bundle.user_ids)} "
         f"components={len(model)} -> {out}"

@@ -5,15 +5,19 @@ produce the same bytes on any machine, so reports can be verified by digest.
 ``json.dumps`` alone cannot pin float formatting, hence this tiny emitter:
 keys are sorted, floats are written with exactly four decimal places, and
 durations/counts stay bare integers.
+
+:func:`write_canonical_json` hands the same text to a sink in chunks of a
+few thousand pieces, so that a writer holds no more than one chunk of a
+large document at a time.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import re
-from typing import Any
+from typing import Any, Callable
 
-__all__ = ["canonical_json", "fmt_float", "fmt_num", "sha256_hex"]
+__all__ = ["canonical_json", "write_canonical_json", "fmt_float", "fmt_num", "sha256_hex"]
 
 
 def fmt_float(value: float) -> str:
@@ -66,7 +70,14 @@ def _escape(text: str) -> str:
     return "".join(out)
 
 
-def _emit(obj: Any, indent: int, pieces: list[str]) -> None:
+# Pieces the emitter holds before it hands them to a sink, joined.
+_FLUSH_PIECES = 4096
+
+
+def _emit(obj: Any, indent: int, pieces: list[str], sink: Callable[[str], Any] | None = None) -> None:
+    """Append the text of ``obj`` to ``pieces``. Given a ``sink``, the
+    emitter hands it the joined pieces and clears them before a list item or
+    a dict member, once they number more than ``_FLUSH_PIECES``."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -88,10 +99,13 @@ def _emit(obj: Any, indent: int, pieces: list[str]) -> None:
         keys = sorted(obj)
         pieces.append("{\n")
         for i, key in enumerate(keys):
+            if sink is not None and len(pieces) > _FLUSH_PIECES:
+                sink("".join(pieces))
+                pieces.clear()
             if not isinstance(key, str):
                 raise TypeError(f"non-string key: {key!r}")
             pieces.append(f'{inner}"{_escape(key)}": ')
-            _emit(obj[key], indent + 1, pieces)
+            _emit(obj[key], indent + 1, pieces, sink)
             pieces.append(",\n" if i < len(keys) - 1 else "\n")
         pieces.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -100,8 +114,11 @@ def _emit(obj: Any, indent: int, pieces: list[str]) -> None:
             return
         pieces.append("[\n")
         for i, item in enumerate(obj):
+            if sink is not None and len(pieces) > _FLUSH_PIECES:
+                sink("".join(pieces))
+                pieces.clear()
             pieces.append(inner)
-            _emit(item, indent + 1, pieces)
+            _emit(item, indent + 1, pieces, sink)
             pieces.append(",\n" if i < len(obj) - 1 else "\n")
         pieces.append(pad + "]")
     else:
@@ -114,6 +131,15 @@ def canonical_json(obj: Any) -> str:
     _emit(obj, 0, pieces)
     pieces.append("\n")
     return "".join(pieces)
+
+
+def write_canonical_json(obj: Any, sink: Callable[[str], Any]) -> None:
+    """Hand the text of :func:`canonical_json` to ``sink`` in chunks; the
+    chunks, joined, are that text."""
+    pieces: list[str] = []
+    _emit(obj, 0, pieces, sink)
+    pieces.append("\n")
+    sink("".join(pieces))
 
 
 def sha256_hex(data: bytes | str) -> str:

@@ -238,6 +238,12 @@ class ComponentAttitude:
         return self.efficiency is None
 
 
+def _not_in_model(comp_id: str, model: ComponentModel) -> UnknownComponent:
+    return UnknownComponent(
+        f"rating for comp_id {comp_id!r} which is not in model {model.system_name!r}"
+    )
+
+
 def component_attitudes(
     ratings: Iterable[ComponentRating], model: ComponentModel
 ) -> dict[str, ComponentAttitude]:
@@ -249,10 +255,7 @@ def component_attitudes(
     by_comp: dict[str, list[ComponentRating]] = {c: [] for c in model.comp_ids}
     for rating in ratings:
         if rating.comp_id not in by_comp:
-            raise UnknownComponent(
-                f"rating for comp_id {rating.comp_id!r} which is not in model "
-                f"{model.system_name!r}"
-            )
+            raise _not_in_model(rating.comp_id, model)
         by_comp[rating.comp_id].append(rating)
 
     out: dict[str, ComponentAttitude] = {}
@@ -314,12 +317,17 @@ def _read_table(path: str | Path, header: list[str], record: Callable[[list[str]
         raise SurveyFormatError(f"{path}: {where}{exc}") from None
 
 
-def load_ratings_csv(path: str | Path) -> list[ComponentRating]:
-    """Read per-component ratings; malformed rows are hard errors."""
+def load_ratings_csv(path: str | Path, *, model: ComponentModel | None = None) -> list[ComponentRating]:
+    """Read per-component ratings; malformed rows are hard errors. Given
+    ``model``, a rating of a component that the model lacks is one too, and
+    its error names the row."""
 
     def rating(row: list[str]) -> ComponentRating:
         scores = [_int_field(name, cell) for name, cell in zip(RATINGS_HEADER[2:], row[2:])]
-        return ComponentRating(row[0].strip(), row[1].strip(), *scores)
+        out = ComponentRating(row[0].strip(), row[1].strip(), *scores)
+        if model is not None and out.comp_id not in model.index:
+            raise _not_in_model(out.comp_id, model)
+        return out
 
     return _read_table(path, RATINGS_HEADER, rating)
 

@@ -317,6 +317,15 @@ class ComponentModel:
     def __len__(self) -> int:
         return len(self.components)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # The hash dataclass would give, computed once: every lru_cache keyed
+        # by a model hashes it on each call. Equality stays field by field.
+        return hash((self.system_name, self.components))
+
     @cached_property
     def comp_ids(self) -> tuple[str, ...]:
         return tuple(c.comp_id for c in self.components)

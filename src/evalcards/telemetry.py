@@ -9,10 +9,13 @@ and quarantining unknown components are explicit opt-ins.
 
 A :class:`Session` is columnar. ``ts_ms`` is an int64 array of record
 instants and ``comp_idx`` an int32 array of positions in the model's
-canonical order, ``model.comp_ids``. ``other`` maps the row of each record
-that carries an ``other`` payload to that payload. ``Session.records`` is a
-lazy, read-only view over the columns that builds one :class:`LogRecord` per
-row on access.
+canonical order, ``model.comp_ids``. Reading a log checks each ``other``
+payload (one JSON object, on a component that may carry one) and then drops
+it, because no metric reads it: a loaded session has ``other == {}``. Only
+``synth`` fills ``Session.other``, which maps a row to its payload, so that
+:func:`session_to_jsonl` can write it. ``Session.records`` is a lazy,
+read-only view over the columns that builds one :class:`LogRecord` per row
+on access.
 
 :func:`parse_log` reads a file whose every line has the exact shape that
 :func:`session_to_jsonl` writes in one scan: one anchored pattern over the
@@ -266,7 +269,9 @@ class Session:
     ``ts_ms`` (int64) holds each record's instant and ``comp_idx`` (int32)
     its component's position in ``model.comp_ids``; both are read-only.
     ``other`` maps a row (0 to ``len(ts_ms) - 1``) to its ``other`` payload,
-    for the rows that carry one. Sessions compare by value.
+    for the rows that carry one. Only ``synth`` fills it; :func:`parse_log`
+    checks each payload and drops it, so a loaded session has ``other == {}``.
+    Sessions compare by value.
     """
 
     user_id: str
@@ -385,7 +390,8 @@ def parse_log(
 
     Each record is checked once, in this order: JSON, fields, timestamp,
     ``lv1_id``, unknown component, hierarchy, ``other`` payload. Every
-    error names the line. With ``sort_timestamps``, out-of-order records
+    error names the line. An ``other`` payload is checked and not kept: the
+    session's ``other`` is empty. With ``sort_timestamps``, out-of-order records
     are stably sorted by timestamp; otherwise decreasing timestamps are
     rejected. With ``allow_unknown_components``, records naming components
     outside the model are quarantined on the session instead of failing
@@ -403,14 +409,10 @@ def parse_log(
         columns = _read_lines(text, model, allow_unknown_components)
         if not len(columns[0]):
             raise EmptyLog(f"log for {user_id}/{task_id} contains no records")
-    ts_ms, comp_idx, others, quarantined = columns
+    ts_ms, comp_idx, quarantined = columns
     if sort_timestamps:
         order = np.argsort(ts_ms, kind="stable")  # stable: preserves input order on ties
         ts_ms, comp_idx = ts_ms[order], comp_idx[order]
-        if others:
-            row_of = np.empty_like(order)
-            row_of[order] = np.arange(len(order))
-            others = {int(row_of[row]): other for row, other in others.items()}
     try:
         return Session(
             user_id=user_id,
@@ -418,7 +420,6 @@ def parse_log(
             model=model,
             ts_ms=ts_ms,
             comp_idx=comp_idx,
-            other=others,
             quarantined=tuple(quarantined),
         )
     except NonMonotonicTimestamps as exc:
@@ -444,8 +445,8 @@ _LINE_RE = re.compile(
     re.M,
 )
 _scan_json = json.JSONDecoder().scan_once
-# ts_ms, comp_idx, each row's 'other' payload if it has one, quarantined records
-_Columns = tuple[np.ndarray, np.ndarray, dict[int, Any], Sequence[dict]]
+# ts_ms, comp_idx, quarantined records
+_Columns = tuple[np.ndarray, np.ndarray, Sequence[dict]]
 
 
 @lru_cache(maxsize=16)
@@ -467,6 +468,7 @@ def _scan_log(text: str, model: ComponentModel) -> _Columns | None:
     own level-1 and level-2 ids, so such a line is a valid record, with the
     values that ``json.loads`` would give, once its ``other`` is one JSON
     object on a component that allows it and its stamp is a real instant.
+    The payload is checked and then dropped.
     """
     if "\r" in text:
         return None
@@ -482,20 +484,17 @@ def _scan_log(text: str, model: ComponentModel) -> _Columns | None:
     table, allows_other = _prefix_table(model)
     try:
         idx = [table[prefix] for prefix in prefixes]
-        others = {}
-        for row, payload in enumerate(payloads):
-            if payload:  # it starts with '{', so scan_once returns a dict or raises
-                other, end = _scan_json(payload, 0)
-                if end != len(payload) or not allows_other[idx[row]]:
-                    return None
-                others[row] = other
+        for i, payload in zip(idx, payloads):
+            # a payload starts with '{', so scan_once returns a dict or raises
+            if payload and (not allows_other[i] or _scan_json(payload, 0)[1] != len(payload)):
+                return None
         # numpy rejects hour 24, second 60, 30 February and month 13
         ts_ms = np.array(stamps, dtype="S23").astype("datetime64[ms]").astype(np.int64)
     except (KeyError, StopIteration, ValueError, RecursionError):
         return None
     if ts_ms.min() < _MIN_MS:  # year 0000, which the general path rejects
         return None
-    return ts_ms, np.array(idx, dtype=np.int32), others, ()
+    return ts_ms, np.array(idx, dtype=np.int32), ()
 
 
 def _read_lines(text: str, model: ComponentModel, allow_unknown_components: bool) -> _Columns:
@@ -505,7 +504,6 @@ def _read_lines(text: str, model: ComponentModel, allow_unknown_components: bool
     parse = parse_timestamp
     ts_list: list[int] = []
     idx_list: list[int] = []
-    others: dict[int, Any] = {}
     quarantined: list[dict] = []
     for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
         if not line.strip():
@@ -543,20 +541,17 @@ def _read_lines(text: str, model: ComponentModel, allow_unknown_components: bool
                     f"record names ({lv1.value!r}, {lv2!r}) for comp_id {comp_id!r}, "
                     f"but the model has ({comp.l1_id.value!r}, {comp.l2_id!r})"
                 )
-            other = raw.get("other")
-            if other is not None:
-                if comp.l2_id not in OTHER_ALLOWED_L2:
-                    raise UnexpectedOtherPayload(
-                        f"comp_id {comp_id!r} (level-2 {comp.l2_id!r}) carries an "
-                        f"'other' payload; only {OTHER_ALLOWED_L2} components may"
-                    )
-                others[len(ts_list)] = other
+            if raw.get("other") is not None and comp.l2_id not in OTHER_ALLOWED_L2:
+                raise UnexpectedOtherPayload(
+                    f"comp_id {comp_id!r} (level-2 {comp.l2_id!r}) carries an "
+                    f"'other' payload; only {OTHER_ALLOWED_L2} components may"
+                )
         except TelemetryError as exc:
             raise type(exc)(f"line {line_no}: {exc}") from exc
         ts_list.append(ts_ms)
         idx_list.append(idx)
 
-    return np.array(ts_list, dtype=np.int64), np.array(idx_list, dtype=np.int32), others, quarantined
+    return np.array(ts_list, dtype=np.int64), np.array(idx_list, dtype=np.int32), quarantined
 
 
 def load_bundle(
@@ -573,7 +568,7 @@ def load_bundle(
     duplicate (user, task) pairs and an empty directory fail immediately.
     """
     directory = Path(directory)
-    paths = sorted(directory.glob("*.jsonl"))
+    paths = sorted(directory.glob("*.jsonl"), key=lambda p: p.name)
     if not paths:
         raise NoLogsFound(f"no *.jsonl files in {directory}")
 

@@ -494,8 +494,10 @@ def test_cli_parses_and_validates_each_export_once(
             return fn(*args, **kwargs)
         return wrapper
 
-    for mod in (cards_mod, cli_mod, serialize_mod):
-        monkeypatch.setattr(mod, "canonical_json", counted("canonical_json", mod.canonical_json))
+    serializers = [(cards_mod, "canonical_json"), (serialize_mod, "canonical_json"),
+                   (cli_mod, "write_canonical_json"), (serialize_mod, "write_canonical_json")]
+    for mod, name in serializers:
+        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     monkeypatch.setattr(
         export_mod, "validate_export", counted("validate_export", export_mod.validate_export)
     )
@@ -619,8 +621,8 @@ PROBES = [
     ("taxonomy", lambda raw: raw + b"\xff", "validate", NOT_UTF8),
     ("taxonomy", lambda raw: raw + b"\xff", "analyze", NOT_UTF8),
     ("profile", lambda raw: raw + b"\xff", "synth", NOT_UTF8),
-    ("ratings", lambda raw: raw.replace(b",open_dataset,", b",nope,"), "analyze",
-     "rating for comp_id 'nope' which is not in model 'visus'"),
+    ("ratings", lambda raw: raw.replace(b",open_dataset,", b",nope,", 1), "analyze",
+     "row 2: rating for comp_id 'nope' which is not in model 'visus'"),
     *[
         (
             "taxonomy",
@@ -693,6 +695,24 @@ PROBES = [
         "analyze",
         "line 2: session u01/classification has decreasing timestamps",
     ),
+    # An 'other' payload is checked on either read path: the one scan of a
+    # file as synth writes it, and the per-line loop once a line ends in \r\n.
+    *[
+        (
+            "log",
+            lambda raw, payload=payload, eol=eol: raw.replace(
+                b'"timestamp"', b'"other": ' + payload + b', "timestamp"', 1
+            ).replace(b"\n", eol),
+            "analyze",
+            message,
+        )
+        for payload, message in (
+            (b'{"x": 1}', "line 1: comp_id 'open_dataset' (level-2 'open_dataset') carries an 'other' "
+                          "payload; only ('specify_problem', 'explain_model') components may"),
+            (b'{"x": }', "line 1: not valid JSON (Expecting value)"),
+        )
+        for eol in (b"\n", b"\r\n")
+    ],
 ]
 
 
@@ -758,17 +778,17 @@ def test_internal_errors_exit_1(monkeypatch, tmp_path, visus_config, profile_fil
 def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, fail_at):
     target = tmp_path / "report.html"
     target.write_text("old", encoding="utf-8")
-    write_bytes = Path.write_bytes
 
-    def half_written(self, data):
-        write_bytes(self, data[: len(data) // 2])
-        raise OSError("no space left on device")
+    class HalfWritten(io.FileIO):
+        def write(self, data):
+            super().write(bytes(data[: len(data) // 2]))
+            raise OSError("no space left on device")
 
     def refused(src, dst):
         raise OSError("no space left on device")
 
     if fail_at == "write":
-        monkeypatch.setattr(Path, "write_bytes", half_written)
+        monkeypatch.setattr(Path, "open", lambda self, mode: HalfWritten(self, mode))
     else:
         monkeypatch.setattr(os, "replace", refused)
     with pytest.raises(OSError):
@@ -776,3 +796,35 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, f
     monkeypatch.undo()
     assert target.read_text(encoding="utf-8") == "old"
     assert os.listdir(tmp_path) == ["report.html"]
+
+
+def test_export_that_fails_partway_keeps_old_file_and_leaves_no_temp(
+    tmp_path, visus_config, profile_file, monkeypatch, capsys
+):
+    import evalcards.cli as cli_mod
+    import evalcards.serialize as serialize_mod
+
+    fixture_dir, export = synth_and_analyze(tmp_path, visus_config, profile_file)
+    old = export.read_bytes()
+    real_export_metrics = cli_mod.export_metrics
+    real_write = cli_mod.write_canonical_json
+    written = []
+
+    def with_nan(*args):
+        doc = real_export_metrics(*args)
+        doc["zz"] = [{"deep": [1.0, float("nan")]}]  # sorts last: emitted after every section
+        return doc
+
+    def counted_write(doc, sink):
+        real_write(doc, lambda chunk: (written.append(chunk), sink(chunk)))
+
+    monkeypatch.setattr(cli_mod, "export_metrics", with_nan)
+    monkeypatch.setattr(cli_mod, "write_canonical_json", counted_write)
+    monkeypatch.setattr(serialize_mod, "_FLUSH_PIECES", 64)  # a small export in many chunks
+    code = run(["analyze", "--taxonomy", visus_config, "--logs", fixture_dir / "logs",
+                "--out", export, "--force"])
+    assert code == 1
+    assert "non-finite value" in capsys.readouterr().err
+    assert len(written) > 10  # chunks reached the temporary file before the emitter raised
+    assert export.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["export.json", "fixture", "profile.yaml", "visus.yaml"]

@@ -1,11 +1,15 @@
 """Canonical JSON emission and exact numeric formatting."""
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from evalcards.serialize import canonical_json, fmt_float, fmt_num, sha256_hex
+from evalcards import serialize
+from evalcards.serialize import canonical_json, fmt_float, fmt_num, sha256_hex, write_canonical_json
 
 
 def test_keys_sorted_and_floats_fixed():
@@ -89,3 +93,27 @@ def test_escape_pins_every_control_character_quote_and_backslash():
     assert canonical_json({'k"\\\x1f': 'v"\\\x00'}) == '{\n  "k\\"\\\\\\u001f": "v\\"\\\\\\u0000"\n}\n'
     # text with nothing to escape is written as it is, non-ASCII included
     assert canonical_json("plain é — \x7f \u2028") == '"plain é — \x7f \u2028"\n'
+
+
+# Keys and texts that need escapes, and floats of four decimals.
+_TEXT = st.text(st.sampled_from('ab"\\\n\t\x00\x1f\u00e9\u2028'), max_size=4)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(10**12), 10**12) | _TEXT
+    | st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: round(v, 4))
+)
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(_DOCS, st.sampled_from([0, 1, 2, 7]))
+@example({"a": [1, {"b": [2.5, "c\n"]}], "d": {}}, 0)
+def test_chunks_join_to_canonical_json(doc, flush_pieces):
+    chunks = []
+    with mock.patch.object(serialize, "_FLUSH_PIECES", flush_pieces):
+        write_canonical_json(doc, chunks.append)
+    assert "".join(chunks) == canonical_json(doc)
+    if flush_pieces < 2 and isinstance(doc, (dict, list)) and len(doc) > 1:
+        assert len(chunks) > 1  # the emitter flushed before a later item

@@ -1,4 +1,5 @@
 """Log parsing, timestamp normalization, and bundle loading."""
+import dataclasses
 import json
 import re
 from datetime import datetime, timedelta, timezone
@@ -232,24 +233,29 @@ def test_unknown_component_quarantined_when_allowed(visus_model):
 
 
 def test_other_payload_only_for_problem_and_explanation(visus_model):
-    ok = "\n".join(
+    # Both read paths check a payload and drop it: the per-line loop reads
+    # records as json.dumps writes them, the one scan lines as synth writes them.
+    target = {"parameters": {"target_metric": "f1_score"}}
+    per_line = "\n".join(
         [
-            line(
-                "2024-01-01T00:00:00Z",
-                "problem",
-                "specify_problem",
-                "select_target_metric",
-                other={"parameters": {"target_metric": "f1_score"}},
-            ),
+            line("2024-01-01T00:00:00Z", "problem", "specify_problem", "select_target_metric", other=target),
             line("2024-01-01T00:01:00Z", "model", "explain_model", "see_pdp", other={"model_viewed": "m1"}),
         ]
     )
-    session = parse_log(ok, visus_model, user_id="u1", task_id="t")
-    assert session.records[0].other == {"parameters": {"target_metric": "f1_score"}}
+    scanned = _with_other(_TARGET, json.dumps(target, sort_keys=True))
+    assert telemetry._scan_log(per_line, visus_model) is None
+    assert telemetry._scan_log(scanned, visus_model) is not None
+    for ok in (per_line, scanned):
+        session = parse_log(ok, visus_model, user_id="u1", task_id="t")
+        assert session.other == {}
+        assert all(record.other is None for record in session.records)
 
-    bad = line("2024-01-01T00:00:00Z", "data", "open_dataset", "open_dataset", other={"x": 1})
-    with pytest.raises(UnexpectedOtherPayload):
-        parse_log(bad, visus_model, user_id="u1", task_id="t")
+    bad_per_line = line("2024-01-01T00:00:00Z", "data", "open_dataset", "open_dataset", other={"x": 1})
+    bad_scanned = _with_other(_OPEN, '{"x": 1}')
+    assert telemetry._scan_log(bad_scanned, visus_model) is None
+    for bad in (bad_per_line, bad_scanned):
+        with pytest.raises(UnexpectedOtherPayload, match="^line 1: comp_id 'open_dataset' "):
+            parse_log(bad, visus_model, user_id="u1", task_id="t")
 
 
 def test_empty_log_rejected(identity_model):
@@ -299,8 +305,7 @@ def test_session_columns_and_records_view(visus_model):
     assert session.ts_ms.tolist() == [1_704_067_200_000 + k * 60_000 for k in range(3)]
     order = visus_model.comp_ids
     assert [order[i] for i in session.comp_idx.tolist()] == ["open_dataset", "select_target_metric", "see_pdp"]
-    # the payloads moved with their records
-    assert session.other == {1: {"parameters": {"target_metric": "rmse"}}, 2: {"model_viewed": "m1"}}
+    assert session.other == {}  # the payloads were checked and dropped
     with pytest.raises(ValueError):
         session.ts_ms[0] = 0  # the columns are read-only
 
@@ -308,8 +313,8 @@ def test_session_columns_and_records_view(visus_model):
     assert len(records) == 3
     assert [r.comp_id for r in records] == list(session.comp_sequence())
     assert records[-1] == records[2] == list(records)[2]
-    assert records[-1].other == {"model_viewed": "m1"}
-    assert records[-1].lv2_id == "explain_model" and records[0].other is None
+    assert [r.other for r in records] == [None, None, None]
+    assert records[-1].lv2_id == "explain_model"
     assert records[1:] == tuple(records)[1:]
     assert isinstance(records[0].ts_ms, int)
     with pytest.raises(IndexError):
@@ -398,11 +403,13 @@ def test_round_trip_preserves_records(visus_model):
         seed=11,
     )
     bundle = generate_bundle(visus_model, profile).bundle
+    assert any(session.other for session in bundle.sessions)
     for session in bundle.sessions:
         text = session_to_jsonl(session)
         back = parse_log(text, visus_model, user_id=session.user_id, task_id=session.task_id)
-        assert back == session
-        assert session_to_jsonl(back) == text
+        # every record comes back; its 'other' payload was checked and dropped
+        assert back == dataclasses.replace(session, other={})
+        assert session_to_jsonl(back) == re.sub(r'"other": \{.*\}, ', "", text)
 
 
 # --------------------------------------------------------------------------
@@ -575,7 +582,7 @@ def test_parse_log_splits_lines_as_load_bundle_does(tmp_path, visus_model):
     log.write_bytes(raw.encode("utf-8"))
     session = parse_log(raw, visus_model, user_id="u1", task_id="t")
     assert load_bundle(tmp_path, visus_model).sessions == (session,)
-    assert session.other == {1: {"note": "a\u2028b\u0085c"}}
+    assert len(session.records) == 3 and session.other == {}
 
     bad = raw + "\r\nnot json\n"
     log.write_bytes(bad.encode("utf-8"))
