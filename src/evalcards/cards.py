@@ -16,7 +16,7 @@ sidecar manifest.
 from __future__ import annotations
 
 from html import escape
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .charts import (
     ChartRow,
@@ -93,29 +93,34 @@ figure figcaption{font-size:11px;color:#555;margin-bottom:3px}
 """
 
 
-def _document(title: str, meta: str, sections: Sequence[str]) -> str:
-    parts = [
-        "<!doctype html>",
-        '<html lang="en"><head><meta charset="utf-8"/>',
-        f"<title>{escape(title)}</title>",
-        f"<style>{_CSS}</style>",
-        "</head><body>",
-        f"<header><h1>{escape(title)}</h1><p class=\"meta\">{escape(meta)}</p></header>",
-        *sections,
-        "</body></html>",
-    ]
-    return "\n".join(parts)
+def _document(title: str, meta: str, sections: Iterable[Iterable[str]]) -> Iterator[str]:
+    """The document's pieces, in order: the head, then each section's
+    pieces, one section at a time."""
+    yield "\n".join(
+        [
+            "<!doctype html>",
+            '<html lang="en"><head><meta charset="utf-8"/>',
+            f"<title>{escape(title)}</title>",
+            f"<style>{_CSS}</style>",
+            "</head><body>",
+            f"<header><h1>{escape(title)}</h1><p class=\"meta\">{escape(meta)}</p></header>",
+        ]
+    )
+    for section in sections:
+        yield "\n"
+        yield from section
+    yield "\n</body></html>"
 
 
 def _section(
     category: str,
     scope: str,
-    body: str,
+    body: Iterable[str],
     *,
     unavailable: bool = False,
     digest: str = "",
     options: str = "",
-) -> str:
+) -> Iterator[str]:
     classes = "card unavailable" if unavailable else "card"
     title = f"{CATEGORY_TITLES[category]} \u2014 {scope}-system"
     metadata = ""
@@ -123,17 +128,21 @@ def _section(
         metadata += f' data-inputs-digest="sha256:{digest}"'
     if options:
         metadata += f' data-options="{escape(options)}"'
-    return (
+    yield (
         f'<section class="{classes}" id="{category}-{scope}" '
         f'data-category="{category}" data-scope="{scope}"{metadata}>'
-        f"<h2>{escape(title)}</h2>{body}</section>"
+        f"<h2>{escape(title)}</h2>"
     )
+    yield from body
+    yield "</section>"
 
 
-def _figure(body: str, caption: str = "", attrs: str = "") -> str:
+def _figure(body: Iterable[str], caption: str = "", attrs: str = "") -> Iterator[str]:
     cap = f"<figcaption>{escape(caption)}</figcaption>" if caption else ""
     open_tag = f"<figure {attrs}>" if attrs else "<figure>"
-    return f"{open_tag}{cap}{body}</figure>"
+    yield f"{open_tag}{cap}"
+    yield from body
+    yield "</figure>"
 
 
 def _box_from(doc: Mapping | None) -> BoxStats | None:
@@ -156,7 +165,7 @@ def _labels(export: Mapping) -> dict[str, str]:
     return {c["comp_id"]: c["label"] for c in export["model"]["components"]}
 
 
-def _sec_descriptive_within(export: Mapping) -> str:
+def _sec_descriptive_within(export: Mapping) -> Iterator[str]:
     descriptive = export["descriptive"]
     rows = descriptive["sessions"]
     sus = descriptive["sus"]
@@ -195,53 +204,43 @@ def _sec_descriptive_within(export: Mapping) -> str:
                     box["max"],
                 ]
             )
-    summary = html_table(
+    yield overview
+    yield html_table(
         ["metric", "n", "min", "lower hinge", "median", "upper hinge", "max"],
         summary_rows,
         caption="Distributions",
     )
-    charts = []
     completion_points = tuple(float(r["completion_ms"]) for r in rows)
     steps_points = tuple(float(r["steps"]) for r in rows)
-    charts.append(
-        _figure(
-            box_strip_svg(
-                [
-                    ChartRow(
-                        "completion (ms)",
-                        _box_from(descriptive["summary"]["completion_ms"]),
-                        completion_points,
-                    )
-                ],
-                x_label="milliseconds",
-            ),
-            caption=f"Task-completion time · n = {len(rows)}",
-        )
+    yield from _figure(
+        box_strip_svg(
+            [
+                ChartRow(
+                    "completion (ms)",
+                    _box_from(descriptive["summary"]["completion_ms"]),
+                    completion_points,
+                )
+            ],
+            x_label="milliseconds",
+        ),
+        caption=f"Task-completion time · n = {len(rows)}",
     )
-    charts.append(
-        _figure(
-            box_strip_svg(
-                [ChartRow("steps", _box_from(descriptive["summary"]["steps"]), steps_points)],
-                x_label="interaction steps",
-            ),
-            caption=f"Interaction steps · n = {len(rows)}",
-        )
+    yield from _figure(
+        box_strip_svg(
+            [ChartRow("steps", _box_from(descriptive["summary"]["steps"]), steps_points)],
+            x_label="interaction steps",
+        ),
+        caption=f"Interaction steps · n = {len(rows)}",
     )
     sus_points = tuple(sus[u] for u in sorted(sus))
     sus_row = ChartRow("SUS", _box_from(descriptive["summary"]["sus"]), sus_points)
-    charts.append(
-        _figure(
-            box_strip_svg([sus_row], domain=(0.0, 100.0), x_label="SUS score"),
-            caption=f"Per-user usability · n = {len(sus_points)}",
-        )
+    yield from _figure(
+        box_strip_svg([sus_row], domain=(0.0, 100.0), x_label="SUS score"),
+        caption=f"Per-user usability · n = {len(sus_points)}",
     )
     missing = descriptive["missing_sus"]
-    missing_note = (
-        f'<p class="note">users without a SUS response: {escape(", ".join(missing))}</p>'
-        if missing
-        else ""
-    )
-    return overview + summary + "".join(charts) + missing_note
+    if missing:
+        yield f'<p class="note">users without a SUS response: {escape(", ".join(missing))}</p>'
 
 
 def _attitude_rows(export: Mapping, which: str) -> list[ChartRow]:
@@ -254,29 +253,23 @@ def _attitude_rows(export: Mapping, which: str) -> list[ChartRow]:
     return rows
 
 
-def _sec_attitudinal_within(export: Mapping) -> str:
+def _sec_attitudinal_within(export: Mapping) -> Iterator[str]:
     eff = box_strip_svg(
         _attitude_rows(export, "efficiency"), domain=(1.0, 5.0), x_label="1 = very hard, 5 = very easy"
     )
     eft = box_strip_svg(
         _attitude_rows(export, "effectiveness"), domain=(1.0, 5.0), x_label="1 = very hard, 5 = very easy"
     )
+    yield from _figure(eff, caption="Perceived efficiency")
+    yield from _figure(eft, caption="Perceived effectiveness")
     no_data = [
         comp_id for comp_id, att in sorted(export["attitudes"].items()) if att["no_data"]
     ]
-    note = (
-        f'<p class="note">components with no ratings: {escape(", ".join(no_data))}</p>'
-        if no_data
-        else ""
-    )
-    return (
-        _figure(eff, caption="Perceived efficiency")
-        + _figure(eft, caption="Perceived effectiveness")
-        + note
-    )
+    if no_data:
+        yield f'<p class="note">components with no ratings: {escape(", ".join(no_data))}</p>'
 
 
-def _sec_effort_within(export: Mapping) -> str:
+def _sec_effort_within(export: Mapping) -> Iterator[str]:
     labels = _labels(export)
     order = [c["comp_id"] for c in export["model"]["components"]]
     effort = export["effort"]
@@ -285,7 +278,7 @@ def _sec_effort_within(export: Mapping) -> str:
     for comp in order:
         points = tuple(float(row["share"][comp]) for row in effort["per_session"])
         strip_rows.append(ChartRow(labels[comp], _box_from(effort["share_box"][comp]), points))
-    shares_chart = _figure(
+    yield from _figure(
         box_strip_svg(strip_rows, domain=(0.0, 1.0), x_label="share of attributed session time"),
         caption=f"Relative time per component · n = {len(effort['per_session'])} sessions",
     )
@@ -297,14 +290,15 @@ def _sec_effort_within(export: Mapping) -> str:
         )
         for row in effort["per_session"]
     ]
-    stacked = _figure(
+    yield from _figure(
         stacked_columns_svg(columns, order), caption="Each session's allocation of time"
     )
     legend = "".join(
         f'<span class="swatch" style="background:{component_color(i)}"></span>{escape(labels[comp])}'
         for i, comp in enumerate(order)
     )
-    totals = html_table(
+    yield f'<div class="legend">{legend}</div>'
+    yield html_table(
         ["component", "total (ms)", "visits", "share of total"],
         [
             [labels[comp], effort["totals_ms"][comp], effort["visit_counts"][comp], effort["share_totals"][comp]]
@@ -312,14 +306,13 @@ def _sec_effort_within(export: Mapping) -> str:
         ],
         caption="Totals across all sessions (zero-use components included)",
     )
-    note = f'<p class="note">{escape(_options_note(export["options"]))}</p>'
-    return shares_chart + stacked + f'<div class="legend">{legend}</div>' + totals + note
+    yield f'<p class="note">{escape(_options_note(export["options"]))}</p>'
 
 
-def _sec_exploration_within(export: Mapping, *, log_scale: bool) -> str:
+def _sec_exploration_within(export: Mapping, *, log_scale: bool) -> Iterator[str]:
     l3 = export["transitions"]["l3"]
-    heat = _figure(
-        heatmap_svg(l3["order"], l3["counts"], log_scale=log_scale),
+    yield from _figure(
+        [heatmap_svg(l3["order"], l3["counts"], log_scale=log_scale)],
         caption="Component-level from-to transitions",
     )
     linearity = export["linearity"]
@@ -329,21 +322,20 @@ def _sec_exploration_within(export: Mapping, *, log_scale: bool) -> str:
     ]
     pooled = linearity["pooled"]
     rows.append(["all sessions", "", pooled["value"], pooled["forward"], pooled["backward"], pooled["self"]])
-    table = html_table(
+    yield html_table(
         ["user", "task", "linearity", "forward", "backward", "self"],
         rows,
         caption="Usage linearity (1 = strictly staged, 0 = fully backward)",
     )
-    note = f'<p class="note">{escape(_options_note(export["options"]))}</p>'
-    return heat + table + note
+    yield f'<p class="note">{escape(_options_note(export["options"]))}</p>'
 
 
-def _between_placeholder(category: str) -> str:
+def _between_placeholder(category: str) -> Iterator[str]:
     body = (
         '<p class="note">Not available from a single system’s export. '
         "Run the compare subcommand with two or more exports to fill this section.</p>"
     )
-    return _section(category, "between", body, unavailable=True)
+    return _section(category, "between", [body], unavailable=True)
 
 
 def render_within_export(export: Mapping, *, log_scale: bool = False) -> str:
@@ -356,17 +348,20 @@ def render_within_export(export: Mapping, *, log_scale: bool = False) -> str:
     digest = sha256_hex(data)
     export = load_export(data)
     del data  # keep the bytes out of the render's peak memory
-    return render_within_parsed(export, digest, log_scale=log_scale)
+    return "".join(render_within_parsed(export, digest, log_scale=log_scale))
 
 
-def render_within_parsed(export: Mapping, digest: str, *, log_scale: bool = False) -> str:
+def render_within_parsed(export: Mapping, digest: str, *, log_scale: bool = False) -> Iterator[str]:
     """Render the within-system card set from an export as
     :func:`~evalcards.export.load_export` returns it; ``digest`` is the
     sha256 of the bytes it was loaded from.
 
-    For an export file that ``analyze`` wrote, the bytes are the file's, so
-    this gives the same report as :func:`render_within_export` without
-    serializing the document again.
+    The report comes as pieces in document order, and each section is
+    built only as its pieces are taken, so the whole report is never held
+    at once; joined, the pieces are the report. For an export file that
+    ``analyze`` wrote, the bytes are the file's, so this gives the same
+    report as :func:`render_within_export` without serializing the
+    document again.
     """
     options = _options_note(export["options"])
     sections = [
@@ -398,7 +393,7 @@ def _system_color(i: int) -> str:
     return component_color(2 * i)  # skip adjacent light/dark pairs
 
 
-def _sec_descriptive_between(exports: Sequence[Mapping]) -> str:
+def _sec_descriptive_between(exports: Sequence[Mapping]) -> Iterator[str]:
     overview_rows = []
     sus_rows, completion_rows, steps_rows = [], [], []
     for export in exports:
@@ -430,42 +425,33 @@ def _sec_descriptive_between(exports: Sequence[Mapping]) -> str:
                 tuple(float(r["steps"]) for r in rows),
             )
         )
-    overview = html_table(
+    yield html_table(
         ["system", "sessions", "users", "components", "users w/o SUS"],
         overview_rows,
         caption="Populations",
     )
-    charts = (
-        _figure(
-            box_strip_svg(sus_rows, domain=(0.0, 100.0), x_label="SUS score"),
-            caption="SUS distributions",
-        )
-        + _figure(box_strip_svg(completion_rows, x_label="completion (ms)"), caption="Task completion")
-        + _figure(box_strip_svg(steps_rows, x_label="steps"), caption="Interaction steps")
+    yield from _figure(
+        box_strip_svg(sus_rows, domain=(0.0, 100.0), x_label="SUS score"),
+        caption="SUS distributions",
     )
-    return overview + charts
+    yield from _figure(box_strip_svg(completion_rows, x_label="completion (ms)"), caption="Task completion")
+    yield from _figure(box_strip_svg(steps_rows, x_label="steps"), caption="Interaction steps")
 
 
-def _l2_panels(exports, alignment, panel_body) -> str:
-    """One panel per aligned reference level-2 key."""
-    panels = []
+def _l2_panels(exports, alignment, panel_body) -> Iterator[str]:
+    """One panel per aligned reference level-2 key; ``panel_body`` gives
+    the pieces of a row's panel."""
     for row in alignment.rows:
-        body = panel_body(row)
+        yield f'<div class="l2-panel" data-l2="{escape(row.l2_id)}"><h3>{escape(row.l2_id)}</h3>'
+        yield from panel_body(row)
         absent = [e["system_name"] for e in exports if e["system_name"] not in row.systems]
         if absent:
-            body += (
-                f'<p class="note">not present in: {escape(", ".join(absent))}</p>'
-            )
-        panels.append(
-            f'<div class="l2-panel" data-l2="{escape(row.l2_id)}">'
-            f"<h3>{escape(row.l2_id)}</h3>{body}</div>"
-        )
-    return "".join(panels)
+            yield f'<p class="note">not present in: {escape(", ".join(absent))}</p>'
+        yield "</div>"
 
 
-def _sec_attitudinal_between(exports: Sequence[Mapping], alignment) -> str:
+def _sec_attitudinal_between(exports: Sequence[Mapping], alignment) -> Iterator[str]:
     def panel(row):
-        figures = []
         for export in exports:
             name = export["system_name"]
             if name not in row.systems:
@@ -481,19 +467,16 @@ def _sec_attitudinal_between(exports: Sequence[Mapping], alignment) -> str:
                             f"{labels[comp_id]} · {which}", box, note="" if box else "no data"
                         )
                     )
-            figures.append(
-                _figure(
-                    box_strip_svg(chart_rows, domain=(1.0, 5.0)),
-                    caption=name,
-                    attrs=f'class="system-panel" data-system="{escape(name)}"',
-                )
+            yield from _figure(
+                box_strip_svg(chart_rows, domain=(1.0, 5.0)),
+                caption=name,
+                attrs=f'class="system-panel" data-system="{escape(name)}"',
             )
-        return "".join(figures)
 
     return _l2_panels(exports, alignment, panel)
 
 
-def _sec_effort_between(exports: Sequence[Mapping], alignment) -> str:
+def _sec_effort_between(exports: Sequence[Mapping], alignment) -> Iterator[str]:
     by_name = {export["system_name"]: export for export in exports}
     colors = {name: _system_color(i) for i, name in enumerate(sorted(by_name))}
 
@@ -514,28 +497,25 @@ def _sec_effort_between(exports: Sequence[Mapping], alignment) -> str:
             (name, round(l2_share[name].get(row.l2_id, 0.0), 4), colors[name])
             for name in sorted(row.systems)
         ]
-        return _figure(bars_svg(bars, domain=(0.0, 1.0)))
+        return _figure([bars_svg(bars, domain=(0.0, 1.0))])
 
-    panels = _l2_panels(exports, alignment, panel)
+    yield '<p class="note">share of each system’s total attributed time spent in the level-2 functionality</p>'
+    yield from _l2_panels(exports, alignment, panel)
     residue_bits = []
     for name in sorted(by_name):
         residue = alignment.unaligned.get(name, ())
         if residue:
             listing = "; ".join(f"{l2} ({', '.join(comps)})" for l2, comps in residue)
             residue_bits.append(f"{name}: {listing}")
-    residue_note = (
-        f'<p class="note">created level-2 functionality outside the shared hierarchy '
-        f"\u2014 {escape(' | '.join(residue_bits))}</p>"
-        if residue_bits
-        else ""
-    )
-    intro = '<p class="note">share of each system’s total attributed time spent in the level-2 functionality</p>'
-    return intro + panels + residue_note
+    if residue_bits:
+        yield (
+            f'<p class="note">created level-2 functionality outside the shared hierarchy '
+            f"\u2014 {escape(' | '.join(residue_bits))}</p>"
+        )
 
 
-def _sec_exploration_between(exports: Sequence[Mapping], alignment) -> str:
+def _sec_exploration_between(exports: Sequence[Mapping], alignment) -> Iterator[str]:
     axis = [row.l2_id for row in alignment.rows]
-    figures = []
     for export in exports:
         name = export["system_name"]
         matrix = export["transitions"]["l2"]
@@ -550,19 +530,16 @@ def _sec_exploration_between(exports: Sequence[Mapping], alignment) -> str:
         absent = {l2 for l2 in axis if l2 not in pos}
         pooled = export["linearity"]["pooled"]
         caption = f"{name} · pooled linearity {fmt_num(pooled['value'])}"
-        figures.append(
-            _figure(
-                heatmap_svg(axis, projected, absent=absent),
-                caption=caption,
-                attrs=f'class="system-heatmap" data-system="{escape(name)}"',
-            )
+        yield from _figure(
+            [heatmap_svg(axis, projected, absent=absent)],
+            caption=caption,
+            attrs=f'class="system-heatmap" data-system="{escape(name)}"',
         )
-    note = (
+    yield (
         '<p class="note">shared axis: reference level-2 functionality, in reference order. '
         "Greyed labels are absent from that system; created level-2 keys are excluded here "
         "(see the effort section for the residue).</p>"
     )
-    return "".join(figures) + note
 
 
 def comparison_order(exports: Sequence[Mapping]) -> list[int]:
@@ -585,12 +562,14 @@ def render_between(exports: Sequence[Mapping]) -> str:
     order = comparison_order(loaded)
     digest = sha256_hex(b"".join(data[i] for i in order))
     del data
-    return render_between_parsed([loaded[i] for i in order], digest)
+    return "".join(render_between_parsed([loaded[i] for i in order], digest))
 
 
-def render_between_parsed(exports: Sequence[Mapping], digest: str) -> str:
+def render_between_parsed(exports: Sequence[Mapping], digest: str) -> Iterator[str]:
     """Render the comparison from loaded exports in :func:`comparison_order`;
-    ``digest`` is the sha256 of their bytes joined in that order."""
+    ``digest`` is the sha256 of their bytes joined in that order. The
+    comparison comes as pieces, as :func:`render_within_parsed` gives a
+    report."""
     names = [e["system_name"] for e in exports]
     models = [ComponentModel.from_dict(export["model"]) for export in exports]
     alignment = align_models(models)

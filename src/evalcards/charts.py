@@ -4,14 +4,16 @@ Everything here is a pure function from numbers to markup: fixed float
 formatting, no randomness, no external assets, so identical inputs yield
 byte-identical charts. Numeric labels are rendered with
 :func:`~evalcards.serialize.fmt_num` so every visible number parses back to
-the exact export value it came from.
+the exact export value it came from. The two charts that draw one mark per
+session, :func:`box_strip_svg` and :func:`stacked_columns_svg`, yield their
+markup piece by piece; joined, the pieces are the chart.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from html import escape
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .survey import BoxStats
 from .serialize import fmt_num
@@ -76,29 +78,30 @@ def box_strip_svg(
     domain: tuple[float, float] | None = None,
     x_label: str = "",
     ticks: int = 5,
-) -> str:
-    """Horizontal box-and-whisker rows with optional raw-point strips."""
+) -> Iterator[str]:
+    """Horizontal box-and-whisker rows with optional raw-point strips,
+    yielded mark by mark: a strip holds one point per session."""
     lo, hi = domain if domain else _auto_domain(rows)
     to_px = _scale(lo, hi, GUTTER, PLOT_W)
     height = len(rows) * ROW_H + 34
     width = GUTTER + PLOT_W + 20
 
-    parts = [
+    yield (
         f'<svg class="chart box-strip" viewBox="0 0 {width} {height}" '
         f'width="{width}" height="{height}" role="img">'
-    ]
+    )
     axis_y = len(rows) * ROW_H + 6
     for t in range(ticks):
         value = lo + (hi - lo) * t / (ticks - 1)
         px = to_px(value)
-        parts.append(
+        yield (
             f'<line x1="{_x(px)}" y1="0" x2="{_x(px)}" y2="{axis_y}" '
             f'stroke="#eeeeee" stroke-width="1"/>'
             f'<text x="{_x(px)}" y="{axis_y + 12}" font-size="10" fill="#666" '
             f'text-anchor="middle">{escape(fmt_num(round(value, 4)))}</text>'
         )
     if x_label:
-        parts.append(
+        yield (
             f'<text x="{_x(GUTTER + PLOT_W / 2)}" y="{height - 4}" font-size="10" '
             f'fill="#444" text-anchor="middle">{escape(x_label)}</text>'
         )
@@ -106,19 +109,19 @@ def box_strip_svg(
     for i, row in enumerate(rows):
         cy = i * ROW_H + ROW_H / 2
         label_fill = "#999" if row.box is None and not row.points else "#222"
-        parts.append(
+        yield (
             f'<text x="{GUTTER - 8}" y="{_x(cy + 3.5)}" font-size="11" fill="{label_fill}" '
             f'text-anchor="end">{escape(row.label)}</text>'
         )
         if row.box is None and not row.points:
             note = row.note or "no data"
-            parts.append(
+            yield (
                 f'<text x="{GUTTER + 4}" y="{_x(cy + 3.5)}" font-size="10" '
                 f'fill="#999" font-style="italic">{escape(note)}</text>'
             )
             continue
         for value in row.points:
-            parts.append(
+            yield (
                 f'<circle cx="{_x(to_px(value))}" cy="{_x(cy)}" r="2.4" '
                 f'fill="#4c78a8" fill-opacity="0.35"><title>{escape(fmt_num(value))}</title></circle>'
             )
@@ -128,9 +131,9 @@ def box_strip_svg(
             x_lo, x_hi = to_px(box.lower_hinge), to_px(box.upper_hinge)
             x_med = to_px(box.median)
             x_wl, x_wh = to_px(box.whisker_low), to_px(box.whisker_high)
-            parts.append("<g>")
-            parts.append(f"<title>{escape(_box_title(row.label, box))}</title>")
-            parts.append(
+            yield "<g>"
+            yield f"<title>{escape(_box_title(row.label, box))}</title>"
+            yield (
                 f'<line x1="{_x(x_wl)}" y1="{_x(cy)}" x2="{_x(x_lo)}" y2="{_x(cy)}" stroke="#333"/>'
                 f'<line x1="{_x(x_hi)}" y1="{_x(cy)}" x2="{_x(x_wh)}" y2="{_x(cy)}" stroke="#333"/>'
                 f'<line x1="{_x(x_wl)}" y1="{_x(cy - 4)}" x2="{_x(x_wl)}" y2="{_x(cy + 4)}" stroke="#333"/>'
@@ -141,18 +144,17 @@ def box_strip_svg(
                 f'stroke="#08306b" stroke-width="2"/>'
             )
             for value in box.outliers:
-                parts.append(
+                yield (
                     f'<circle cx="{_x(to_px(value))}" cy="{_x(cy)}" r="2.8" fill="none" '
                     f'stroke="#d62728"><title>{escape(fmt_num(value))}</title></circle>'
                 )
-            parts.append("</g>")
+            yield "</g>"
         if row.note and (row.box is not None or row.points):
-            parts.append(
+            yield (
                 f'<text x="{GUTTER + PLOT_W + 4}" y="{_x(cy + 3.5)}" font-size="9" '
                 f'fill="#777">{escape(row.note)}</text>'
             )
-    parts.append("</svg>")
-    return "".join(parts)
+    yield "</svg>"
 
 
 def _auto_domain(rows: Sequence[ChartRow]) -> tuple[float, float]:
@@ -257,8 +259,9 @@ def stacked_columns_svg(
     *,
     height: int = 200,
     col_w: int | None = None,
-) -> str:
-    """One stacked column per session: each user's allocation of time shares."""
+) -> Iterator[str]:
+    """One stacked column per session: each user's allocation of time
+    shares, yielded mark by mark."""
     if col_w is None:
         # keep large bundles on one screen; tooltips carry the detail
         col_w = max(12, min(26, round(1000 / max(len(columns), 1))))
@@ -266,13 +269,13 @@ def stacked_columns_svg(
     left, bottom, top = 30, 58, 8
     width = left + len(columns) * col_w + 10
     total_h = height + top + bottom
-    parts = [
+    yield (
         f'<svg class="chart stacked" viewBox="0 0 {width} {total_h}" '
         f'width="{width}" height="{total_h}" role="img">'
-    ]
+    )
     for t in (0.0, 0.5, 1.0):
         y = top + height * (1 - t)
-        parts.append(
+        yield (
             f'<line x1="{left}" y1="{_x(y)}" x2="{width - 8}" y2="{_x(y)}" stroke="#eee"/>'
             f'<text x="{left - 4}" y="{_x(y + 3)}" font-size="9" fill="#666" '
             f'text-anchor="end">{fmt_num(t)}</text>'
@@ -286,20 +289,19 @@ def stacked_columns_svg(
                 continue
             seg_h = height * share
             y -= seg_h
-            parts.append(
+            yield (
                 f'<rect x="{x}" y="{_x(y)}" width="{col_w - 6}" height="{_x(seg_h)}" '
                 f'fill="{color[comp]}"><title>{escape(label)} · {escape(comp)}: '
                 f"{escape(fmt_num(share))}</title></rect>"
             )
         if k % label_every == 0:
             cx = x + (col_w - 6) / 2
-            parts.append(
+            yield (
                 f'<text x="{_x(cx)}" y="{top + height + 10}" font-size="8.5" fill="#444" '
                 f'text-anchor="end" transform="rotate(-55 {_x(cx)} {top + height + 10})">'
                 f"{escape(label)}</text>"
             )
-    parts.append("</svg>")
-    return "".join(parts)
+    yield "</svg>"
 
 
 def bars_svg(rows: Sequence[tuple[str, float, str]], *, domain: tuple[float, float] = (0.0, 1.0)) -> str:

@@ -13,10 +13,11 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
-from . import __version__
+from . import __version__, serialize
 from .cards import comparison_order, render_between_parsed, render_within_parsed
 from .errors import EvalCardsError
 from .export import DEFAULT_IDLE_CAP_MS, export_metrics, load_export
@@ -79,14 +80,16 @@ def _check_overwrite(path: Path, force: bool) -> None:
         raise CliError(f"{path} already exists (pass --force to overwrite)")
 
 
-def _write_atomic(path: Path, text: str | Callable[[Callable[[str], None]], object]) -> str:
-    """Write ``text`` to ``path`` as UTF-8 and return the sha256 of the bytes.
+_Text = str | Callable[[Callable[[str], None]], object]
+
+
+def _write_temp(path: Path, text: _Text) -> tuple[Path, str]:
+    """Write ``text`` as UTF-8 to a temporary file beside ``path``; return
+    that file and the sha256 of the bytes.
 
     ``text`` is the whole text, or a function that hands it, in chunks, to
-    the sink it is given. Each chunk is encoded, hashed and written to a
-    temporary file in the same directory, which then replaces ``path``, so
-    ``path`` holds either its old bytes or all of the new ones, never a
-    part, even when the function raises partway.
+    the sink it is given. Each chunk is encoded, hashed and written in
+    turn. If writing fails, even partway, the temporary file is removed.
     """
     digest = hashlib.sha256()
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -102,30 +105,70 @@ def _write_atomic(path: Path, text: str | Callable[[Callable[[str], None]], obje
                 sink(text)
             else:
                 text(sink)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    return temp, digest.hexdigest()
+
+
+def _write_atomic(path: Path, text: _Text) -> str:
+    """Write ``text`` to ``path`` as UTF-8 and return the sha256 of the bytes.
+
+    The text goes to a temporary file in the same directory (see
+    :func:`_write_temp`), which then replaces ``path``, so ``path`` holds
+    either its old bytes or all of the new ones, never a part.
+    """
+    temp, digest = _write_temp(path, text)
+    try:
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
-    return digest.hexdigest()
+    return digest
 
 
-def _write_report(path: Path, html: str, inputs: dict[str, str], force: bool) -> None:
-    """Write a report plus its sidecar manifest (the only place a wall-clock
-    timestamp is allowed; the report itself stays byte-deterministic).
+def _in_batches(pieces: Iterable[str]) -> Callable[[Callable[[str], None]], None]:
+    """A text, as :func:`_write_temp` takes it, that hands its sink ``pieces``
+    joined ``serialize._FLUSH_PIECES`` at a time, so that no more than one
+    batch of a large document is held as one string."""
+
+    def write(sink: Callable[[str], None]) -> None:
+        rest = iter(pieces)
+        while batch := list(islice(rest, serialize._FLUSH_PIECES)):
+            sink("".join(batch))
+
+    return write
+
+
+def _write_report(path: Path, pieces: Iterable[str], inputs: dict[str, str], force: bool) -> None:
+    """Write a report, given as its pieces, plus its sidecar manifest (the
+    only place a wall-clock timestamp is allowed; the report itself stays
+    byte-deterministic).
 
     ``inputs`` maps each export, named as given on the command line, to the
-    sha256 of its bytes.
+    sha256 of its bytes. Both files are written to temporary files before
+    either replaces its target, so a failure while writing either one
+    leaves the old report and the old manifest as they were.
     """
     manifest_path = path.with_suffix(path.suffix + ".manifest.json")
     _check_overwrite(path, force)
     _check_overwrite(manifest_path, force)
-    digest = _write_atomic(path, html)
-    manifest = {
-        "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "inputs": inputs,
-        "output": {path.name: digest},
-    }
-    _write_atomic(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    written: list[tuple[Path, Path]] = []
+    try:
+        temp, digest = _write_temp(path, _in_batches(pieces))
+        written.append((temp, path))
+        manifest = {
+            "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "inputs": inputs,
+            "output": {path.name: digest},
+        }
+        text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+        written.append((_write_temp(manifest_path, text)[0], manifest_path))
+        for temp, target in written:
+            os.replace(temp, target)
+    finally:
+        for temp, _ in written:
+            temp.unlink(missing_ok=True)  # a no-op for each file that replaced its target
 
 
 def _load_model(path: str) -> ComponentModel:
@@ -234,10 +277,10 @@ def cmd_render(args) -> int:
         if name in seen:
             raise CliError(f"{arg}: system {name!r} already rendered from {seen[name]}")
         seen[name] = arg
-        html = render_within_parsed(export, digest, log_scale=args.log_scale)
+        report = render_within_parsed(export, digest, log_scale=args.log_scale)
         out_dir.mkdir(parents=True, exist_ok=True)  # only once an export has loaded
         target = out_dir / f"{_safe_filename(name)}.cards.html"
-        _write_report(target, html, {arg: digest}, args.force)
+        _write_report(target, report, {arg: digest}, args.force)
         print(f"{name}: wrote {target}")
     return EXIT_OK
 
@@ -251,10 +294,9 @@ def cmd_compare(args) -> int:
     inputs = {arg: sha256_hex(data) for arg, (_, data) in zip(args.exports, loaded)}
     exports = [loaded[i][0] for i in order]
     del loaded
-    html = render_between_parsed(exports, joined.hexdigest())
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_report(out, html, inputs, args.force)
+    _write_report(out, render_between_parsed(exports, joined.hexdigest()), inputs, args.force)
     print(f"compared {', '.join(e['system_name'] for e in exports)} -> {out}")
     return EXIT_OK
 

@@ -271,7 +271,8 @@ class Session:
     ``other`` maps a row (0 to ``len(ts_ms) - 1``) to its ``other`` payload,
     for the rows that carry one. Only ``synth`` fills it; :func:`parse_log`
     checks each payload and drops it, so a loaded session has ``other == {}``.
-    Sessions compare by value.
+    ``quarantined`` holds ``{"line", "comp_id"}`` for each record set aside
+    for naming a component outside the model. Sessions compare by value.
     """
 
     user_id: str
@@ -529,7 +530,7 @@ def _read_lines(text: str, model: ComponentModel, allow_unknown_components: bool
             idx = index.get(comp_id)
             if idx is None:
                 if allow_unknown_components:
-                    quarantined.append({"line": line_no, "record": raw})
+                    quarantined.append({"line": line_no, "comp_id": comp_id})
                     continue
                 raise UnknownComponent(
                     f"comp_id {comp_id!r} is not in model {model.system_name!r}"

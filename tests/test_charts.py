@@ -49,14 +49,14 @@ def test_heatmap_absent_labels_greyed():
 
 def test_box_strip_renders_strip_box_and_outliers():
     box = likert_box([3, 3, 3, 3, 5])
-    svg = box_strip_svg([ChartRow("comp", box, (3.0, 3.0, 5.0))], domain=(1.0, 5.0))
+    svg = "".join(box_strip_svg([ChartRow("comp", box, (3.0, 3.0, 5.0))], domain=(1.0, 5.0)))
     ET.fromstring(svg)
     assert svg.count("<circle") == 3 + len(box.outliers)
     assert "median=3" in svg
 
 
 def test_box_strip_no_data_row():
-    svg = box_strip_svg([ChartRow("quiet", None)], domain=(1.0, 5.0))
+    svg = "".join(box_strip_svg([ChartRow("quiet", None)], domain=(1.0, 5.0)))
     assert "no data" in svg
     assert "<rect" not in svg
 
@@ -69,9 +69,11 @@ def test_bars_show_exact_values():
 
 
 def test_stacked_columns_segments_and_tooltips():
-    svg = stacked_columns_svg(
-        [("u1/c", [("a", 0.25), ("b", 0.75)]), ("u2/c", [("a", 1.0), ("b", 0.0)])],
-        ["a", "b"],
+    svg = "".join(
+        stacked_columns_svg(
+            [("u1/c", [("a", 0.25), ("b", 0.75)]), ("u2/c", [("a", 1.0), ("b", 0.0)])],
+            ["a", "b"],
+        )
     )
     ET.fromstring(svg)
     assert "u1/c · a: 0.25</title>" in svg
@@ -89,6 +91,6 @@ def test_html_table_formats_values():
 
 def test_chart_output_is_deterministic():
     rows = [ChartRow("r", likert_box([1, 2, 3, 4, 5]), (1.0, 5.0))]
-    assert box_strip_svg(rows) == box_strip_svg(rows)
+    assert "".join(box_strip_svg(rows)) == "".join(box_strip_svg(rows))
     matrix = [[1, 2], [3, 4]]
     assert heatmap_svg(["a", "b"], matrix) == heatmap_svg(["a", "b"], matrix)

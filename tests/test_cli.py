@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -828,3 +829,59 @@ def test_export_that_fails_partway_keeps_old_file_and_leaves_no_temp(
     assert len(written) > 10  # chunks reached the temporary file before the emitter raised
     assert export.read_bytes() == old
     assert sorted(p.name for p in tmp_path.iterdir()) == ["export.json", "fixture", "profile.yaml", "visus.yaml"]
+
+
+def test_report_and_manifest_are_replaced_together(
+    tmp_path, visus_config, profile_file, monkeypatch, capsys
+):
+    import evalcards.cli as cli_mod
+
+    _, export = synth_and_analyze(tmp_path, visus_config, profile_file)
+    out_dir = tmp_path / "reports"
+    assert run(["render", export, "--out", out_dir, "--log-scale"]) == 0  # other bytes than the new report
+    old = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert len(old) == 2
+
+    def refused(*args, **kwargs):
+        raise RuntimeError("manifest refused")
+
+    monkeypatch.setattr(cli_mod.json, "dumps", refused)
+    code = run(["render", export, "--out", out_dir, "--force"])
+    monkeypatch.undo()
+    assert code == 1
+    assert "manifest refused" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == old
+
+
+def test_report_that_fails_partway_keeps_old_files_and_leaves_no_temp(
+    tmp_path, visus_config, profile_file, monkeypatch, capsys
+):
+    import evalcards.cards as cards_mod
+    import evalcards.cli as cli_mod
+    import evalcards.serialize as serialize_mod
+
+    _, export = synth_and_analyze(tmp_path, visus_config, profile_file)
+    out_dir = tmp_path / "reports"
+    assert run(["render", export, "--out", out_dir]) == 0
+    old = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    real_chart = cards_mod.stacked_columns_svg
+    real_write_temp = cli_mod._write_temp
+    written = []
+
+    def failing_chart(*args, **kwargs):
+        yield from islice(real_chart(*args, **kwargs), 20)
+        raise RuntimeError("chart failed")
+
+    def counted_write_temp(path, text):
+        return real_write_temp(
+            path, lambda sink: text(lambda chunk: (written.append(chunk), sink(chunk)))
+        )
+
+    monkeypatch.setattr(cards_mod, "stacked_columns_svg", failing_chart)
+    monkeypatch.setattr(cli_mod, "_write_temp", counted_write_temp)
+    monkeypatch.setattr(serialize_mod, "_FLUSH_PIECES", 8)  # a small report in many chunks
+    code = run(["render", export, "--out", out_dir, "--force"])
+    assert code == 1
+    assert "chart failed" in capsys.readouterr().err
+    assert len(written) > 1  # chunks reached the temporary file before the chart raised
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == old

@@ -12,12 +12,25 @@ path, sorting, quarantine and collapsed matrices are all covered.
 """
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
-from evalcards.cards import render_between, render_within_export
+import evalcards
+from evalcards import cli, serialize
+from evalcards.cards import (
+    comparison_order,
+    render_between,
+    render_between_parsed,
+    render_within_export,
+    render_within_parsed,
+)
 from evalcards.cli import main
+from evalcards.export import load_export
 from evalcards.fixtures import fixture_text
 from evalcards.serialize import canonical_json
 
@@ -261,3 +274,93 @@ def test_cli_compare_equals_dict_api(golden_root):
     docs = [json.loads((golden_root / s / f"{s}.json").read_bytes()) for s in GOLDEN_TREES]
     comparison = (golden_root / "comparison.html").read_bytes()
     assert comparison == render_between(docs).encode("utf-8")
+
+
+BATCH = 64  # pieces per chunk: small enough that a golden report takes many chunks
+
+
+def _sink_chunks(monkeypatch, *args) -> list[str]:
+    """The chunks that the CLI run ``args`` hands to the sink of its report."""
+    chunks: list[str] = []
+    real_write_temp = cli._write_temp
+
+    def recorded(path, text):
+        if isinstance(text, str):  # the manifest
+            return real_write_temp(path, text)
+        return real_write_temp(path, lambda sink: text(lambda c: (chunks.append(c), sink(c))))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_write_temp", recorded)
+        patch.setattr(serialize, "_FLUSH_PIECES", BATCH)
+        _run(*args)
+    return chunks
+
+
+def _assert_streamed(chunks: list[str], pieces: list[str]) -> None:
+    """The chunks are the pieces joined, and none is longer than ``BATCH``
+    consecutive pieces, so the document never was one string."""
+    assert "".join(chunks) == "".join(pieces)
+    lengths = [len(p) for p in pieces]
+    longest_batch = max(sum(lengths[i : i + BATCH]) for i in range(len(lengths)))
+    assert len(chunks) > 1
+    assert max(len(c) for c in chunks) <= longest_batch
+
+
+@pytest.mark.parametrize("case", ["tworavens", "visus-messy"])
+def test_report_reaches_its_file_in_batches(golden_root, case, tmp_path, monkeypatch):
+    export = golden_root / case / f"{case}.json"
+    data = export.read_bytes()
+    chunks = _sink_chunks(monkeypatch, "render", export, "--out", tmp_path)
+    pieces = list(render_within_parsed(load_export(data), hashlib.sha256(data).hexdigest()))
+    _assert_streamed(chunks, pieces)
+
+
+def test_comparison_reaches_its_file_in_batches(golden_root, tmp_path, monkeypatch):
+    paths = [golden_root / case / f"{case}.json" for case in ("tworavens", "visus-messy")]
+    chunks = _sink_chunks(monkeypatch, "compare", *paths, "--out", tmp_path / "cmp.html")
+    data = [p.read_bytes() for p in paths]
+    exports = [load_export(d) for d in data]
+    order = comparison_order(exports)
+    digest = hashlib.sha256(b"".join(data[i] for i in order)).hexdigest()
+    pieces = list(render_between_parsed([exports[i] for i in order], digest))
+    _assert_streamed(chunks, pieces)
+
+
+def test_golden_visus_case_is_the_same_in_another_environment(golden_root, tmp_path):
+    """synth, analyze, render and compare, each in a child process with
+    another hash seed, time zone and locale, write the golden bytes."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(evalcards.__file__).parents[1]),
+        PYTHONHASHSEED="12345",
+        TZ="Pacific/Kiritimati",
+        LC_ALL="C",
+    )
+
+    def child(*args) -> None:
+        subprocess.run(
+            [sys.executable, "-m", "evalcards.cli", *map(str, args)],
+            env=env, check=True, capture_output=True,
+        )
+
+    (tmp_path / "taxonomy.yaml").write_text(fixture_text("visus"), encoding="utf-8")
+    (tmp_path / "profile.yaml").write_text(PROFILES["visus"], encoding="utf-8")
+    tree = tmp_path / "tree"
+    child("synth", "--taxonomy", tmp_path / "taxonomy.yaml", "--profile", tmp_path / "profile.yaml",
+          "--out", tree)
+    export = tmp_path / "visus.json"
+    child("analyze", "--taxonomy", tmp_path / "taxonomy.yaml", "--logs", tree / "logs",
+          "--surveys", tree / "surveys", "--out", export)
+    child("render", export, "--out", tmp_path / "reports")
+    comparison = tmp_path / "comparison.html"
+    child("compare", export, *(golden_root / s / f"{s}.json" for s in ("distil", "tworavens")),
+          "--out", comparison)
+    assert {
+        path.relative_to(tree).as_posix(): _sha256(path)
+        for path in sorted(tree.rglob("*")) if path.is_file()
+    } == GOLDEN_TREES["visus"]
+    assert {
+        "export": _sha256(export),
+        "report": _sha256(tmp_path / "reports" / "visus.cards.html"),
+    } == GOLDEN["visus"]
+    assert _sha256(comparison) == GOLDEN["comparison"]

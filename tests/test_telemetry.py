@@ -228,8 +228,7 @@ def test_unknown_component_quarantined_when_allowed(visus_model):
         text, visus_model, user_id="u1", task_id="t", allow_unknown_components=True
     )
     assert len(session.records) == 1
-    assert len(session.quarantined) == 1
-    assert session.quarantined[0]["line"] == 2
+    assert session.quarantined == ({"line": 2, "comp_id": "summarize_models"},)
 
 
 def test_other_payload_only_for_problem_and_explanation(visus_model):
