@@ -12,10 +12,11 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import __version__, serialize
 from .cards import comparison_order, render_between_parsed, render_within_parsed
@@ -140,35 +141,43 @@ def _in_batches(pieces: Iterable[str]) -> Callable[[Callable[[str], None]], None
     return write
 
 
-def _write_report(path: Path, pieces: Iterable[str], inputs: dict[str, str], force: bool) -> None:
+@contextmanager
+def _staged() -> Iterator[list[tuple[Path, Path]]]:
+    """Collect ``(temporary file, target)`` pairs and replace every target
+    with its temporary file once the block ends. If anything in the block
+    fails, no target is replaced and every temporary file is removed."""
+    staged: list[tuple[Path, Path]] = []
+    try:
+        yield staged
+        for temp, target in staged:
+            os.replace(temp, target)
+    finally:
+        for temp, _ in staged:
+            temp.unlink(missing_ok=True)  # a no-op for each file that replaced its target
+
+
+def _stage_report(
+    staged: list[tuple[Path, Path]], path: Path, pieces: Iterable[str], inputs: dict[str, str], force: bool
+) -> None:
     """Write a report, given as its pieces, plus its sidecar manifest (the
     only place a wall-clock timestamp is allowed; the report itself stays
-    byte-deterministic).
+    byte-deterministic) to temporary files, and add both to ``staged``.
 
     ``inputs`` maps each export, named as given on the command line, to the
-    sha256 of its bytes. Both files are written to temporary files before
-    either replaces its target, so a failure while writing either one
-    leaves the old report and the old manifest as they were.
+    sha256 of its bytes.
     """
     manifest_path = path.with_suffix(path.suffix + ".manifest.json")
     _check_overwrite(path, force)
     _check_overwrite(manifest_path, force)
-    written: list[tuple[Path, Path]] = []
-    try:
-        temp, digest = _write_temp(path, _in_batches(pieces))
-        written.append((temp, path))
-        manifest = {
-            "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "inputs": inputs,
-            "output": {path.name: digest},
-        }
-        text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-        written.append((_write_temp(manifest_path, text)[0], manifest_path))
-        for temp, target in written:
-            os.replace(temp, target)
-    finally:
-        for temp, _ in written:
-            temp.unlink(missing_ok=True)  # a no-op for each file that replaced its target
+    temp, digest = _write_temp(path, _in_batches(pieces))
+    staged.append((temp, path))
+    manifest = {
+        "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "inputs": inputs,
+        "output": {path.name: digest},
+    }
+    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    staged.append((_write_temp(manifest_path, text)[0], manifest_path))
 
 
 def _load_model(path: str) -> ComponentModel:
@@ -267,21 +276,35 @@ def _safe_filename(name: str) -> str:
 
 
 def cmd_render(args) -> int:
+    """Render every export, one parsed export at a time, into temporary
+    files; replace the reports and their manifests only once the last one
+    has rendered, so that a bad export leaves ``--out`` as it was."""
     out_dir = Path(args.out)
+    made_dir = not out_dir.exists()
     seen: dict[str, str] = {}
-    for arg in args.exports:
-        export, data = _load_export(arg)
-        digest = sha256_hex(data)
-        del data
-        name = export["system_name"]
-        if name in seen:
-            raise CliError(f"{arg}: system {name!r} already rendered from {seen[name]}")
-        seen[name] = arg
-        report = render_within_parsed(export, digest, log_scale=args.log_scale)
-        out_dir.mkdir(parents=True, exist_ok=True)  # only once an export has loaded
-        target = out_dir / f"{_safe_filename(name)}.cards.html"
-        _write_report(target, report, {arg: digest}, args.force)
-        print(f"{name}: wrote {target}")
+    written: list[str] = []
+    try:
+        with _staged() as staged:
+            for arg in args.exports:
+                export, data = _load_export(arg)
+                digest = sha256_hex(data)
+                del data
+                name = export["system_name"]
+                if name in seen:
+                    raise CliError(f"{arg}: system {name!r} already rendered from {seen[name]}")
+                seen[name] = arg
+                report = render_within_parsed(export, digest, log_scale=args.log_scale)
+                out_dir.mkdir(parents=True, exist_ok=True)  # only once an export has loaded
+                target = out_dir / f"{_safe_filename(name)}.cards.html"
+                _stage_report(staged, target, report, {arg: digest}, args.force)
+                written.append(f"{name}: wrote {target}")
+                del export, report
+    except BaseException:
+        if made_dir and out_dir.is_dir() and not any(out_dir.iterdir()):
+            out_dir.rmdir()
+        raise
+    for line in written:
+        print(line)
     return EXIT_OK
 
 
@@ -296,7 +319,8 @@ def cmd_compare(args) -> int:
     del loaded
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_report(out, render_between_parsed(exports, joined.hexdigest()), inputs, args.force)
+    with _staged() as staged:
+        _stage_report(staged, out, render_between_parsed(exports, joined.hexdigest()), inputs, args.force)
     print(f"compared {', '.join(e['system_name'] for e in exports)} -> {out}")
     return EXIT_OK
 

@@ -17,19 +17,26 @@ it, because no metric reads it: a loaded session has ``other == {}``. Only
 read-only view over the columns that builds one :class:`LogRecord` per row
 on access.
 
-:func:`parse_log` reads a file whose every line has the exact shape that
-:func:`session_to_jsonl` writes in one scan: one anchored pattern over the
-whole text, the writer's per-component line prefixes as the lookup table,
-and one numpy call for all the stamps. Any other file is read line by line,
-each record checked once, with the same results and messages.
-
 Timestamps are any common ISO-8601 calendar date-time (extended or basic
 form, comma or dot fractions, ``Z`` or numeric offsets; week and ordinal
-dates are not supported). They are normalized to UTC milliseconds; offsets
-are honored and then discarded, sub-millisecond digits truncate. The
-canonical shape ``YYYY-MM-DDTHH:MM:SS.sssZ``, which ``synth`` writes and
-:func:`format_timestamp` returns, takes a strict fast path in
-:func:`parse_timestamp`; every other form goes through the general pattern.
+dates are not supported), as :func:`parse_timestamp` reads them. They are
+normalized to UTC milliseconds; offsets are honored and then discarded,
+sub-millisecond digits truncate.
+
+:func:`parse_log` reads a file in one scan when every line has the shape
+that :func:`session_to_jsonl` writes, except that its stamp may take any
+form of a subset of the ISO grammar: an extended or basic date, ``T``, an
+extended or basic clock with seconds, a ``.`` or ``,`` fraction of three
+digits, and ``Z``, ``+HH:MM`` or ``+HHMM`` (or ``-``). That covers the logs
+``synth`` writes and common rewrites of them. The scan is one anchored
+pattern over the whole text, with the writer's per-component line prefixes
+as the lookup table. Canonical stamps, ``YYYY-MM-DDTHH:MM:SS.sssZ``, take
+one numpy call; a file with any other form takes one ``findall`` of the
+stamps' parts and integer numpy arithmetic. Records naming a component
+outside the model are quarantined there too, when that is allowed. Any
+other file, and any file in which the scan finds something it does not
+accept, is read line by line, each record checked once; that loop is the
+reference for every result and message, and the scan agrees with it.
 
 Writing runs on the columns too. :func:`session_to_jsonl` formats all of a
 session's stamps in one ``np.datetime_as_string`` call, and builds each
@@ -43,11 +50,13 @@ from __future__ import annotations
 
 import io
 import json
+import operator
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
+from itertools import chain, compress
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -84,8 +93,6 @@ _ISO_RE = re.compile(
     $""",
     re.VERBOSE,
 )
-# The canonical shape, ASCII digits only; see parse_timestamp.
-_CANONICAL_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3}Z")
 
 
 class TelemetryError(EvalCardsError):
@@ -137,36 +144,8 @@ class BundleLoadError(TelemetryError):
         super().__init__(f"{len(self.failures)} log file(s) failed to load:\n{lines}")
 
 
-@lru_cache(maxsize=4096)
-def _day_ms(date: str) -> int | None:
-    """Epoch ms of UTC midnight on an ASCII ``YYYY-MM-DD`` date; None if no such day."""
-    try:
-        day = datetime(int(date[:4]), int(date[5:7]), int(date[8:10]), tzinfo=timezone.utc)
-    except ValueError:
-        return None
-    return (day - _EPOCH) // _MS
-
-
 def parse_timestamp(text: str) -> int:
-    """Parse an ISO-8601 instant into UTC epoch milliseconds.
-
-    A stamp of exactly the canonical shape with in-range fields is computed
-    directly. Anything else, including surrounding whitespace, lowercase
-    ``t``/``z``, non-ASCII digits and out-of-range fields, takes the general
-    path, which accepts or rejects it with the same result and message as
-    it always has.
-    """
-    if _CANONICAL_RE.fullmatch(text):
-        hour, minute, second = int(text[11:13]), int(text[14:16]), int(text[17:19])
-        if hour <= 23 and minute <= 59 and second <= 59:
-            day_ms = _day_ms(text[:10])
-            if day_ms is not None:
-                return day_ms + ((hour * 60 + minute) * 60 + second) * 1000 + int(text[20:23])
-    return _parse_iso(text)
-
-
-def _parse_iso(text: str) -> int:
-    """The general path of :func:`parse_timestamp`, for every accepted form."""
+    """Parse an ISO-8601 instant into UTC epoch milliseconds."""
     match = _ISO_RE.match(text.strip())
     if not match:
         raise MalformedTimestamp(f"not an ISO-8601 date-time: {text!r}")
@@ -401,15 +380,16 @@ def parse_log(
     ``text`` is split as a file is read: a line ends at ``\n``, ``\r\n``
     or ``\r`` and nowhere else, so a raw U+2028 in a JSON string is text.
 
-    A text whose every line has the exact shape that :func:`session_to_jsonl`
-    writes is read in one scan; any other text is read line by line, with
-    the same results and messages.
+    A text whose every line has the shape that :func:`session_to_jsonl`
+    writes, with its stamp in the scan's subset of forms, is read in one
+    scan; any other text is read line by line, with the same results and
+    messages.
     """
-    columns = _scan_log(text, model)
+    columns = _scan_log(text, model, allow_unknown_components)
     if columns is None:
         columns = _read_lines(text, model, allow_unknown_components)
-        if not len(columns[0]):
-            raise EmptyLog(f"log for {user_id}/{task_id} contains no records")
+    if not len(columns[0]):
+        raise EmptyLog(f"log for {user_id}/{task_id} contains no records")
     ts_ms, comp_idx, quarantined = columns
     if sort_timestamps:
         order = np.argsort(ts_ms, kind="stable")  # stable: preserves input order on ties
@@ -436,15 +416,40 @@ def _line_of_row(text: str, row: int, quarantined: Sequence[Mapping]) -> int:
     return [n for n, line in lines if line.strip() and n not in skipped][row]
 
 
-# One line exactly as session_to_jsonl writes it: the component's prefix,
-# an optional 'other' object, and a canonical stamp. Digits are [0-9], not
-# \d, which also matches non-ASCII digits.
+# One line as session_to_jsonl writes it, with its stamp in any form of the
+# scan's subset of _ISO_RE: the component's prefix, an optional 'other'
+# object, and the stamp. A canonical stamp is group 3, any other group 4.
+# Date and clock are each all extended or all basic, the rule that _ISO_RE's
+# back-references keep; seconds and a 3-digit fraction are present, and the
+# zone is Z or a signed HH:MM or HHMM offset. Digits are [0-9], not \d,
+# which also matches non-ASCII digits.
 _LINE_RE = re.compile(
     r'^(\{"comp_id": "[a-z0-9_]+", "lv1_id": "[a-z0-9_]+", "lv2_id": "[a-z0-9_]+", )'
     r'(?:"other": (\{.*\}), )?'
-    r'"timestamp": "([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3})Z"\}\n',
+    r'"timestamp": "(?:([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3}Z)|'
+    r"((?:[0-9]{4}-[0-9]{2}-[0-9]{2}|[0-9]{8})T(?:[0-9]{2}:[0-9]{2}:[0-9]{2}|[0-9]{6})"
+    r'[.,][0-9]{3}(?:Z|[+-][0-9]{2}:?[0-9]{2})))"\}\n',
     re.M,
 )
+# The parts of a stamp that _LINE_RE took, its Z written +0000. Joined by
+# "-", each stamp reads "YYYY-MM-DD-hh-mm-ss.fff+HH-MM-" (the fraction's
+# separator may be a comma, the sign a minus), so its first ten characters
+# are its date in extended form.
+_STAMP_PARTS = re.compile(
+    r"([0-9]{4})-?([0-9]{2})-?([0-9]{2})T([0-9]{2}):?([0-9]{2}):?"
+    r"([0-9]{2}[.,][0-9]{3}[+-][0-9]{2}):?([0-9]{2})"
+)
+_STAMP_WIDTH = 30
+_SIGN_COL = 23
+# Weights of a row's characters, read as digits, in hour, minute, second,
+# ms, offset hours and offset minutes; and the largest value of each field.
+_CLOCK = np.zeros((_STAMP_WIDTH, 6), dtype=np.int64)
+for _field, _cols in enumerate(((11, 12), (14, 15), (17, 18), (20, 21, 22), (24, 25), (27, 28))):
+    _CLOCK[_cols, _field] = [10 ** k for k in reversed(range(len(_cols)))]
+_CLOCK_ZERO = ord("0") * _CLOCK.sum(axis=0)
+_CLOCK_MAX = np.array([23, 59, 59, 999, 23, 59])
+_CLOCK_MS = np.array([3_600_000, 60_000, 1000, 1])
+_MIN_DAY = _MIN_MS // 86_400_000
 _scan_json = json.JSONDecoder().scan_once
 # ts_ms, comp_idx, quarantined records
 _Columns = tuple[np.ndarray, np.ndarray, Sequence[dict]]
@@ -453,49 +458,103 @@ _Columns = tuple[np.ndarray, np.ndarray, Sequence[dict]]
 @lru_cache(maxsize=16)
 def _prefix_table(model: ComponentModel) -> tuple[dict[str, int], tuple[bool, ...]]:
     """Each line prefix of ``model`` to its component's index, and per index
-    whether that component may carry an ``other`` payload."""
+    whether that component's line may carry an ``other`` payload. The last
+    entry, at ``len(model)``, is for a prefix not in the table: the per-line
+    loop quarantines or rejects such a line before it looks at the payload."""
     table = {prefix: idx for idx, prefix in enumerate(_line_prefixes(model))}
-    return table, tuple(c.l2_id in OTHER_ALLOWED_L2 for c in model.components)
+    return table, tuple(c.l2_id in OTHER_ALLOWED_L2 for c in model.components) + (True,)
 
 
-def _scan_log(text: str, model: ComponentModel) -> _Columns | None:
-    """The columns of a log in which every line has the exact ``synth`` shape
-    and passes every check, read in one scan; None for any other text.
+def _scan_stamps(stamps: Sequence[str]) -> np.ndarray:
+    """Epoch ms of stamps that _LINE_RE took, in one findall and a few numpy
+    calls, with the checks and results of :func:`parse_timestamp`.
+
+    Raises ValueError for a date that does not exist, year 0000, or a clock
+    or offset field out of range.
+    """
+    parts = _STAMP_PARTS.findall("\n".join(stamps).replace("Z", "+0000"))
+    joined = "-".join(chain.from_iterable(parts)) + "-"
+    raw = np.frombuffer(joined.encode("ascii"), np.uint8).reshape(len(stamps), _STAMP_WIDTH)
+    # numpy rejects month 13, day 32 and 30 February
+    days = raw[:, :10].copy().view("S10")[:, 0].astype("datetime64[D]").astype(np.int64)
+    if days.min() < _MIN_DAY:  # the year field is 0000, which numpy accepts
+        raise ValueError("year 0")
+    clock = raw @ _CLOCK - _CLOCK_ZERO
+    if (clock.max(axis=0) > _CLOCK_MAX).any():
+        raise ValueError("clock or offset field out of range")
+    offset_ms = (clock[:, 4] * 60 + clock[:, 5]) * 60_000
+    offset_ms[raw[:, _SIGN_COL] == ord("-")] *= -1
+    return days * 86_400_000 + clock[:, :4] @ _CLOCK_MS - offset_ms
+
+
+def _scan_log(text: str, model: ComponentModel, allow_unknown_components: bool) -> _Columns | None:
+    """The columns of a log in which every line has the ``synth`` shape,
+    with a stamp in the scan's subset of forms, and passes every check,
+    read in one scan; None for any other text.
 
     The matches tile the text line by line: there is no ``\\r``, the last
     line matches, so the text ends with ``\\n``, each match starts at a line
     start and holds one ``\\n``, its last character, and there are as many
-    matches as ``\\n``. A matched prefix names a known component with its
-    own level-1 and level-2 ids, so such a line is a valid record, with the
-    values that ``json.loads`` would give, once its ``other`` is one JSON
-    object on a component that allows it and its stamp is a real instant.
-    The payload is checked and then dropped.
+    matches as ``\\n``. A prefix in the model's table names a known
+    component with its own level-1 and level-2 ids, so such a line is a
+    valid record, with the values that ``json.loads`` would give, once its
+    ``other`` is one JSON object on a component that allows it and its stamp
+    is a real instant. The payload is checked and then dropped. With
+    ``allow_unknown_components``, a line with any other prefix is
+    quarantined, as the per-line loop does, if its stamp is a real instant,
+    its ``other`` is one JSON object, its level-1 id is known and its
+    component is not in the model.
     """
     if "\r" in text:
         return None
     # The first and the last line are tried before the rest, so that a file
-    # with few canonical lines, such as a rewritten one, costs two matches.
+    # the scan cannot read usually costs two matches.
     last = text.rfind("\n", 0, -1) + 1
     if not (_LINE_RE.match(text) and _LINE_RE.match(text, last)):
         return None
     rows = _LINE_RE.findall(text)
     if len(rows) != text.count("\n"):
         return None
-    prefixes, payloads, stamps = zip(*rows)
+    prefixes, payloads, canonical, other = zip(*rows)
     table, allows_other = _prefix_table(model)
+    unknown = len(model)
     try:
-        idx = [table[prefix] for prefix in prefixes]
-        for i, payload in zip(idx, payloads):
-            # a payload starts with '{', so scan_once returns a dict or raises
-            if payload and (not allows_other[i] or _scan_json(payload, 0)[1] != len(payload)):
+        idx = list(map(table.__getitem__, prefixes))
+    except KeyError:
+        if not allow_unknown_components:
+            return None
+        idx = [table.get(prefix, unknown) for prefix in prefixes]
+    if not all(map(allows_other.__getitem__, compress(idx, payloads))):
+        return None
+    try:
+        # A payload starts with '{', so scan_once returns a dict or raises.
+        # A file repeats its payloads: each distinct one is decoded once.
+        for payload in set(payloads):
+            if payload and _scan_json(payload, 0)[1] != len(payload):
                 return None
-        # numpy rejects hour 24, second 60, 30 February and month 13
-        ts_ms = np.array(stamps, dtype="S23").astype("datetime64[ms]").astype(np.int64)
-    except (KeyError, StopIteration, ValueError, RecursionError):
+        if all(canonical):
+            # S23 leaves out the Z; numpy rejects hour 24, second 60,
+            # 30 February and month 13
+            ts_ms = np.array(canonical, dtype="S23").astype("datetime64[ms]").astype(np.int64)
+            if ts_ms.min() < _MIN_MS:  # the year field is 0000
+                return None
+        else:
+            ts_ms = _scan_stamps(list(map(operator.add, canonical, other)))
+    except (StopIteration, ValueError, RecursionError):
         return None
-    if ts_ms.min() < _MIN_MS:  # year 0000, which the general path rejects
-        return None
-    return ts_ms, np.array(idx, dtype=np.int32), ()
+    comp_idx = np.array(idx, dtype=np.int32)
+    if unknown not in idx:
+        return ts_ms, comp_idx, ()
+    quarantined = []
+    for row in np.flatnonzero(comp_idx == unknown).tolist():
+        # '{"comp_id": "<id>", "lv1_id": "<id>", ...', with no escapes in [a-z0-9_]
+        fields = prefixes[row].split('"')
+        comp_id, lv1 = fields[3], fields[7]
+        if comp_id in model.index or lv1 not in _LEVEL1:
+            return None
+        quarantined.append({"line": row + 1, "comp_id": comp_id})
+    known = comp_idx != unknown
+    return ts_ms[known], comp_idx[known], quarantined
 
 
 def _read_lines(text: str, model: ComponentModel, allow_unknown_components: bool) -> _Columns:

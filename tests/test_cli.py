@@ -853,6 +853,26 @@ def test_report_and_manifest_are_replaced_together(
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == old
 
 
+def test_render_that_fails_on_a_later_export_leaves_out_dir_as_it_was(
+    tmp_path, visus_config, profile_file, capsys
+):
+    visus_export, distil_export = visus_and_distil_exports(tmp_path, visus_config, profile_file)
+    out_dir = tmp_path / "reports"
+    assert run(["render", visus_export, distil_export, "--out", out_dir, "--log-scale"]) == 0
+    old = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert len(old) == 4
+    capsys.readouterr()
+    bad = tmp_path / "bad.json"
+    bad.write_text("{", encoding="utf-8")
+    for exports in ([visus_export, bad], [visus_export, distil_export, bad], [distil_export, distil_export]):
+        assert run(["render", *exports, "--out", out_dir, "--force"]) == 2
+        assert capsys.readouterr().out == ""  # no report is named as written
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == old
+    fresh = tmp_path / "fresh"
+    assert run(["render", visus_export, bad, "--out", fresh]) == 2
+    assert not fresh.exists()
+
+
 def test_report_that_fails_partway_keeps_old_files_and_leaves_no_temp(
     tmp_path, visus_config, profile_file, monkeypatch, capsys
 ):

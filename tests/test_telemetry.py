@@ -132,11 +132,16 @@ def canonical_shaped(draw):
     return text
 
 
-def _outcome(parse, text):
+def _canonical_oracle(text):
+    """The instant of a canonical-shaped stamp, from its fields at their
+    fixed places, as ``datetime`` reads them; None if there is none."""
+    t = text.strip()
     try:
-        return parse(text)
-    except MalformedTimestamp as exc:
-        return ("MalformedTimestamp", str(exc))
+        dt = datetime(int(t[:4]), int(t[5:7]), int(t[8:10]), int(t[11:13]), int(t[14:16]),
+                      int(t[17:19]), tzinfo=timezone.utc)
+    except ValueError:
+        return None
+    return (dt - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(milliseconds=1) + int(t[20:23])
 
 
 @given(canonical_shaped())
@@ -151,8 +156,13 @@ def _outcome(parse, text):
 @example("\u0662\u0660\u0662\u0664-01-01T00:00:00.000Z")  # non-ASCII digits
 @example("2024-01-01T00:00:00.000z")  # lowercase z
 @example(" 2024-01-01T00:00:00.000Z\n")  # surrounding whitespace
-def test_canonical_fast_path_agrees_with_general_path(text):
-    assert _outcome(parse_timestamp, text) == _outcome(telemetry._parse_iso, text)
+def test_parse_timestamp_reads_canonical_shaped_stamps_as_datetime_does(text):
+    expected = _canonical_oracle(text)
+    if expected is None:
+        with pytest.raises(MalformedTimestamp, match=re.escape(repr(text))):
+            parse_timestamp(text)
+    else:
+        assert parse_timestamp(text) == expected
 
 
 def test_format_timestamp_canonical_and_round_trips():
@@ -242,8 +252,8 @@ def test_other_payload_only_for_problem_and_explanation(visus_model):
         ]
     )
     scanned = _with_other(_TARGET, json.dumps(target, sort_keys=True))
-    assert telemetry._scan_log(per_line, visus_model) is None
-    assert telemetry._scan_log(scanned, visus_model) is not None
+    assert telemetry._scan_log(per_line, visus_model, False) is None
+    assert telemetry._scan_log(scanned, visus_model, False) is not None
     for ok in (per_line, scanned):
         session = parse_log(ok, visus_model, user_id="u1", task_id="t")
         assert session.other == {}
@@ -251,7 +261,7 @@ def test_other_payload_only_for_problem_and_explanation(visus_model):
 
     bad_per_line = line("2024-01-01T00:00:00Z", "data", "open_dataset", "open_dataset", other={"x": 1})
     bad_scanned = _with_other(_OPEN, '{"x": 1}')
-    assert telemetry._scan_log(bad_scanned, visus_model) is None
+    assert telemetry._scan_log(bad_scanned, visus_model, False) is None
     for bad in (bad_per_line, bad_scanned):
         with pytest.raises(UnexpectedOtherPayload, match="^line 1: comp_id 'open_dataset' "):
             parse_log(bad, visus_model, user_id="u1", task_id="t")
@@ -415,12 +425,78 @@ def test_round_trip_preserves_records(visus_model):
 # The one-scan read agrees with the per-line loop
 # --------------------------------------------------------------------------
 
-# Stamps of the canonical shape that name no instant the general path accepts.
+# The stamp forms the scan reads, as docs/file-formats.md states them: an
+# extended or basic date and clock, seconds, a 3-digit fraction, and Z or an
+# offset with minutes. Every other form is left to the per-line loop.
+_SCAN_FORM = re.compile(
+    r"[0-9]{4}(-?)[0-9]{2}\1[0-9]{2}T[0-9]{2}(:?)[0-9]{2}\2[0-9]{2}[.,][0-9]{3}(?:Z|[+-][0-9]{2}:?[0-9]{2})"
+)
+
+
+def _offset(sign, hours, minutes, colon):
+    return f"{sign}{hours:02d}{':' if colon else ''}{minutes:02d}"
+
+
+_ZONES = st.sampled_from(["Z", "+00:00", "-0000", "+23:59", "-23:59", "+0530", "-08:00"]) | st.builds(
+    _offset, st.sampled_from("+-"), st.integers(0, 23), st.integers(0, 59), st.booleans()
+)
+
+
+@st.composite
+def rewritten_stamps(draw, ms=None, scan_only=False):
+    """A stamp naming the instant ``ms`` in a drawn form, and whether the
+    scan reads that form. The scan's forms are those bench/workloads.py's
+    rewrite_stamp writes (basic form, comma fractions, offsets), with the
+    date and the clock each basic or not. Other forms, unless ``scan_only``:
+    lowercase t or z, a space separator, no seconds, a 1-, 2- or 6-digit
+    fraction or none, an offset of hours only or no zone, which the per-line
+    loop reads; and a date with mixed separators or an offset out of range,
+    which it rejects."""
+    if ms is None:
+        ms = draw(st.integers(FIRST_MS, LAST_MS))
+    zone = draw(_ZONES)
+    minutes = 0 if zone == "Z" else int(zone[0] + "1") * (int(zone[1:3]) * 60 + int(zone[-2:]))
+    local = ms + minutes * 60_000
+    if not FIRST_MS <= local <= LAST_MS:
+        local, zone = ms, "Z"
+    text = format_timestamp(local)
+    date, clock, frac = text[:10], text[11:19], text[20:23]
+    scan = {
+        "date": st.sampled_from([date, date.replace("-", "")]),
+        "T": st.just("T"),
+        "clock": st.sampled_from([clock, clock.replace(":", "")]),
+        "frac": st.sampled_from(".,").map(lambda sep: sep + frac),
+        "zone": st.just(zone),
+    }
+    other = {
+        "date": st.sampled_from([date[:7] + date[8:], date[:4] + date[5:]]),
+        "T": st.sampled_from(["t", " "]),
+        "clock": st.sampled_from([clock[:5], clock[:5].replace(":", "")]),
+        "frac": st.sampled_from(["", "." + frac[:1], "," + frac[:2], "." + frac + "123"]),
+        "zone": st.sampled_from(["z", "", "+05", "-11", "+24:00", "+00:60", "-2400", "+0060"]),
+    }
+    changed = set()
+    if not scan_only and draw(st.booleans()):
+        changed = draw(st.sets(st.sampled_from(sorted(scan)), min_size=1, max_size=2))
+    stamp = "".join(draw((other if part in changed else scan)[part]) for part in scan)
+    return stamp, not changed
+
+
+def _set_stamp(line, stamp):
+    """``line``, as session_to_jsonl writes it, with its stamp replaced."""
+    return line[: line.rindex('"timestamp": "')] + f'"timestamp": "{stamp}"}}'
+
+
+# Stamps that name no instant the per-line loop accepts, in the scan's forms.
 _BAD_STAMPS = (
-    "0000-01-01T00:00:00.000",  # year 0, which numpy accepts
-    "2024-01-01T24:00:00.000",
-    "2023-02-29T12:00:00.000",
-    "2024-01-01T00:00:60.000",
+    "0000-01-01T00:00:00.000Z",  # year 0, which numpy accepts
+    "2024-01-01T24:00:00.000Z",
+    "2023-02-29T12:00:00.000Z",
+    "2024-01-01T00:00:60.000Z",
+    "00001231T235959,999-00:01",  # year 0, though its instant lies in year 1
+    "2024-01-01T24:00:00.000+01:00",
+    "20240101T006000,000Z",
+    "2023-02-29T12:00:00,000+0000",
 )
 # Payloads of an 'other' key inserted before "timestamp": JSON that is no
 # object, an object on a component that may not carry one, a nested stamp,
@@ -431,48 +507,90 @@ _OTHERS = (
     '{"a": {"timestamp": "2024-01-01T00:00:00.000Z"}}',
     '{"a": 1}, "timestamp": "2024-01-01T00:00:00.000Z"}',
 )
-# Each turns one canonical line into a line that the scan must not take as is.
+
+
+def _unknown(line, lv1=None):
+    line = line.replace('"comp_id": "', '"comp_id": "no_such_', 1)
+    return line if lv1 is None else re.sub(r'"lv1_id": "[a-z]+"', f'"lv1_id": "{lv1}"', line, count=1)
+
+
+# Each turns one line into a line that the scan must not take as is, or,
+# for the kinds in _QUARANTINED, one it reads only when unknown components
+# are allowed.
 _ADVERSARIAL = {
     "blank": lambda line, model, draw: draw(st.sampled_from(["", "  "])),
     "text-before": lambda line, model, draw: draw(st.sampled_from(["x", " ", "{}"])) + line,
     "crlf": lambda line, model, draw: line + "\r",
-    "bad-stamp": lambda line, model, draw: line[:-26] + draw(st.sampled_from(_BAD_STAMPS)) + 'Z"}',
+    "bad-stamp": lambda line, model, draw: _set_stamp(line, draw(st.sampled_from(_BAD_STAMPS))),
+    "loop-stamp": lambda line, model, draw: _set_stamp(line, draw(rewritten_stamps())[0]),
     "other": lambda line, model, draw: line.replace(
         '"timestamp"', '"other": ' + draw(st.sampled_from(_OTHERS)) + ', "timestamp"', 1
     ),
     "upper-lv1": lambda line, model, draw: re.sub(
         r'"lv1_id": "([a-z]+)"', lambda m: f'"lv1_id": "{m[1].upper()}"', line, count=1
     ),
-    "unknown-comp": lambda line, model, draw: line.replace('"comp_id": "', '"comp_id": "no_such_', 1),
+    "unknown-comp": lambda line, model, draw: _unknown(line),
+    "unknown-comp-other": lambda line, model, draw: _unknown(
+        line.replace('"timestamp"', '"other": {"x": [1]}, "timestamp"', 1)
+        if '"other"' not in line else line
+    ),
+    "unknown-comp-bad-lv1": lambda line, model, draw: _unknown(line, draw(st.sampled_from(["galaxy", "data_"]))),
     "wrong-lv2": lambda line, model, draw: line.replace(
         '"lv2_id": "', '"lv2_id": "' + draw(st.sampled_from(model.l2_order)) + "_", 1
     ),
 }
+_QUARANTINED = {"unknown-comp", "unknown-comp-other"}
 
 
 @st.composite
 def drawn_logs(draw):
-    """A model and a log text: canonical synth lines with up to two lines
-    made adversarial, and a last line that may lack its newline. The flag
-    is True if every line is as synth writes it."""
+    """A model, a log text, and the values of ``allow_unknown_components``
+    with which the scan must read it.
+
+    The lines are synth lines whose stamps stay canonical or are rewritten,
+    to the same instants, in the scan's forms or in any form. The instants
+    are sorted, sorted with one adjacent pair swapped, or in any order. Up
+    to two lines are made adversarial, and the last line may lack its
+    newline. The scan must read the text if every stamp is in its forms, no
+    line is adversarial other than by naming an unknown component, and the
+    last line ends; with such a component, only if that is allowed."""
     model = draw(st.sampled_from(SHIPPED_MODELS))
     n = draw(st.integers(1, 8))
     stamps = draw(st.lists(st.integers(FIRST_MS, LAST_MS), min_size=n, max_size=n))
-    if draw(st.booleans()):
+    order = draw(st.sampled_from(["sorted", "swapped", "any"]))
+    if order != "any":
         stamps.sort()
+    if order == "swapped" and n > 1:
+        i = draw(st.integers(0, n - 2))
+        stamps[i], stamps[i + 1] = stamps[i + 1], stamps[i]
+    style = draw(st.sampled_from(["synth", "scan", "any"]))
+    readable = True
     lines = []
     for ms in stamps:
         idx = draw(st.integers(0, len(model) - 1))
         other = {}
         if model.components[idx].l2_id in telemetry.OTHER_ALLOWED_L2 and draw(st.booleans()):
             other = {0: draw(st.dictionaries(_TEXT, _PAYLOADS, max_size=3))}
-        lines.append(session_to_jsonl(Session("u1", "t", model, [ms], [idx], other))[:-1])
-    bad = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(sorted(_ADVERSARIAL))), max_size=2))
+        line = session_to_jsonl(Session("u1", "t", model, [ms], [idx], other))[:-1]
+        if style != "synth":
+            stamp, scan_form = draw(rewritten_stamps(ms, scan_only=style == "scan"))
+            line = _set_stamp(line, stamp)
+            readable = readable and scan_form
+        lines.append(line)
+    bad = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(sorted(_ADVERSARIAL))),
+                 max_size=2, unique_by=lambda pair: pair[0])
+    )
     for row, kind in bad:
         lines[row] = _ADVERSARIAL[kind](lines[row], model, draw)
     text = "\n".join(lines)
     cut = draw(st.integers(0, 4)) == 0  # the last line has no newline
-    return model, text if cut else text + "\n", not (bad or cut)
+    kinds = {kind for _, kind in bad}
+    if cut or not readable or kinds - _QUARANTINED:
+        scan_reads = set()
+    else:
+        scan_reads = {True} if kinds else {False, True}
+    return model, text if cut else text + "\n", scan_reads
 
 
 def _parsed(text, model, **flags):
@@ -480,6 +598,11 @@ def _parsed(text, model, **flags):
         return parse_log(text, model, user_id="u1", task_id="t", **flags)
     except telemetry.TelemetryError as exc:
         return type(exc).__name__, str(exc)
+
+
+def _per_line(text, model, **flags):
+    with mock.patch.object(telemetry, "_scan_log", lambda text, model, allow_unknown_components: None):
+        return _parsed(text, model, **flags)
 
 
 _OPEN = '{"comp_id": "open_dataset", "lv1_id": "data", "lv2_id": "open_dataset", "timestamp": "2024-01-01T00:00:00.000Z"}\n'
@@ -493,26 +616,34 @@ def _with_other(line, payload):
     return line.replace('"timestamp"', f'"other": {payload}, "timestamp"', 1)
 
 
-@settings(max_examples=300)
+def _with_stamp(line, stamp):
+    return line.replace("2024-01-01T00:00:00.000Z", stamp)
+
+
+@settings(max_examples=400)
 @given(drawn_logs(), st.booleans(), st.booleans())
-@example((SHIPPED_MODELS[0], _OPEN + _TARGET, True), False, False)
-@example((SHIPPED_MODELS[0], _OPEN + "x" + _OPEN + _TARGET, False), False, False)  # text before a record
-@example((SHIPPED_MODELS[0], _OPEN + _TARGET[:-1], False), False, False)  # no last newline
-@example((SHIPPED_MODELS[0], _OPEN.replace("2024", "0000") + _TARGET, False), False, False)
-@example((SHIPPED_MODELS[0], _with_other(_OPEN, '{"x": 1}') + _TARGET, False), False, False)
-@example((SHIPPED_MODELS[0], _OPEN + _with_other(_TARGET, '{"x":\r1}'), False), False, False)
-@example((SHIPPED_MODELS[0], _OPEN + _with_other(_TARGET, _OTHERS[-1]), False), False, False)
+@example((SHIPPED_MODELS[0], _OPEN + _TARGET, {False, True}), False, False)
+@example((SHIPPED_MODELS[0], _OPEN + "x" + _OPEN + _TARGET, set()), False, False)  # text before a record
+@example((SHIPPED_MODELS[0], _OPEN + _TARGET[:-1], set()), False, False)  # no last newline
+@example((SHIPPED_MODELS[0], _OPEN.replace("2024", "0000") + _TARGET, set()), False, False)
+@example((SHIPPED_MODELS[0], _with_other(_OPEN, '{"x": 1}') + _TARGET, set()), False, False)
+@example((SHIPPED_MODELS[0], _OPEN + _with_other(_TARGET, '{"x":\r1}'), set()), False, False)
+@example((SHIPPED_MODELS[0], _OPEN + _with_other(_TARGET, _OTHERS[-1]), set()), False, False)
+@example((SHIPPED_MODELS[0], _with_stamp(_OPEN, "20231231T190000,000-05:00") + _TARGET, {False, True}), False, False)
+@example((SHIPPED_MODELS[0], _with_stamp(_OPEN, "2024-01-01T00:00:00.000+24:00") + _TARGET, set()), False, False)
+@example((SHIPPED_MODELS[0], _with_stamp(_OPEN, "2024-01-01T00:00:00.000+00:60") + _TARGET, set()), False, False)
+@example((SHIPPED_MODELS[0], _with_stamp(_OPEN, "2024-01-01T23:59:00.000+23:59") + _TARGET, {False, True}), False, False)
+@example((SHIPPED_MODELS[0], _TARGET + _unknown(_OPEN), {True}), True, True)
+@example((SHIPPED_MODELS[0], _TARGET + _unknown(_OPEN, "galaxy"), set()), False, True)
 def test_scan_agrees_with_the_per_line_loop(log, sort_timestamps, allow_unknown_components):
-    model, text, canonical = log
+    model, text, scan_reads = log
     flags = dict(sort_timestamps=sort_timestamps, allow_unknown_components=allow_unknown_components)
-    with mock.patch.object(telemetry, "_scan_log", lambda text, model: None):
-        expected = _parsed(text, model, **flags)
-    assert _parsed(text, model, **flags) == expected
-    if canonical:  # every line as synth writes it: the scan reads the whole file
-        assert telemetry._scan_log(text, model) is not None
+    assert _parsed(text, model, **flags) == _per_line(text, model, **flags)
+    if allow_unknown_components in scan_reads:
+        assert telemetry._scan_log(text, model, allow_unknown_components) is not None
 
 
-@given(canonical_shaped())
+@given(canonical_shaped() | rewritten_stamps().map(lambda drawn: drawn[0]))
 @example("0000-01-01T00:00:00.000Z")  # year 0, which numpy accepts
 @example("0001-01-01T00:00:00.000Z")
 @example("9999-12-31T23:59:59.999Z")
@@ -521,11 +652,58 @@ def test_scan_agrees_with_the_per_line_loop(log, sort_timestamps, allow_unknown_
 @example("2024-01-01T24:00:00.000Z")
 @example("2024-01-01T00:00:60.000Z")
 @example("2024-13-01T00:00:00.000Z")
+@example("0001-01-01T00:00:00.000+01:00")  # an instant before year 1, which both accept
+@example("00001231T235959,999-00:01")  # year 0, though its instant lies in year 1
+@example("2024-0101T00:00:00.000Z")  # mixed date separators, which both reject
+@example("20240101T240000,000+0100")  # hour 24 in a form that is not canonical
+@example("9999-12-31T23:59:59.999-23:59")  # an instant after year 9999
+@example("2024-01-01T00:00:00.000+23:59")
+@example("2024-01-01T00:00:00.000-2400")
 def test_scan_reads_each_stamp_as_the_per_line_loop_does(stamp):
-    text = _OPEN.replace("2024-01-01T00:00:00.000Z", stamp)
-    with mock.patch.object(telemetry, "_scan_log", lambda text, model: None):
-        expected = _parsed(text, SHIPPED_MODELS[0])
+    text = _with_stamp(_OPEN, stamp)
+    expected = _per_line(text, SHIPPED_MODELS[0])
     assert _parsed(text, SHIPPED_MODELS[0]) == expected
+    if _SCAN_FORM.fullmatch(stamp) and isinstance(expected, Session):
+        assert telemetry._scan_log(text, SHIPPED_MODELS[0], False) is not None
+
+
+def test_a_messy_shaped_log_is_read_in_the_scan(visus_model):
+    # As the benchmark's messy workload writes a synth log: three stamps in
+    # four rewritten to the same instant in basic form, with a comma or an
+    # offset, one adjacent pair swapped, and two unknown components.
+    profile = SynthProfile(
+        archetype=Archetype.NONLINEAR, n_users=1, tasks=("classification",),
+        dwell_min_ms=500, dwell_max_ms=90_000, seed=3,
+    )
+    session = generate_bundle(visus_model, profile).bundle.sessions[0]
+    lines = session_to_jsonl(session).splitlines()
+    forms = (
+        lambda ms: format_timestamp(ms),
+        lambda ms: format_timestamp(ms + 330 * 60_000)[:-1] + "+05:30",
+        lambda ms: format_timestamp(ms - 480 * 60_000).replace("-", "").replace(":", "")[:-1] + "-0800",
+        lambda ms: format_timestamp(ms).replace(".", ","),
+    )
+    lines = [_set_stamp(line, forms[row % 4](ms)) for row, (line, ms) in enumerate(zip(lines, session.ts_ms.tolist()))]
+    lines[1], lines[2] = lines[2], lines[1]
+    lines.insert(3, _unknown(lines[0]))  # line 4
+    lines.append(_unknown(lines[4]))  # the last line, a copy of record 3
+    text = "\n".join(lines) + "\n"
+    flags = dict(sort_timestamps=True, allow_unknown_components=True)
+    assert telemetry._scan_log(text, visus_model, True) is not None
+    parsed = _parsed(text, visus_model, **flags)
+    assert parsed == _per_line(text, visus_model, **flags)
+    comps = session.comp_sequence()
+    assert parsed == dataclasses.replace(
+        session,
+        user_id="u1",
+        task_id="t",
+        other={},
+        quarantined=(
+            {"line": 4, "comp_id": "no_such_" + comps[0]},
+            {"line": len(lines), "comp_id": "no_such_" + comps[3]},
+        ),
+    )
+    assert telemetry._scan_log(text, visus_model, False) is None  # the loop rejects the unknown components
 
 
 # --------------------------------------------------------------------------
