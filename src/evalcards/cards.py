@@ -283,11 +283,10 @@ def _sec_effort_within(export: Mapping) -> Iterator[str]:
         caption=f"Relative time per component · n = {len(effort['per_session'])} sessions",
     )
 
+    # each column's segments are read once, lazily: a list of (comp, share)
+    # pairs per session would all be held while the chart is written
     columns = [
-        (
-            f"{row['user_id']}/{row['task_id']}",
-            [(comp, float(row["share"][comp])) for comp in order],
-        )
+        (f"{row['user_id']}/{row['task_id']}", zip(order, map(float, map(row["share"].__getitem__, order))))
         for row in effort["per_session"]
     ]
     yield from _figure(

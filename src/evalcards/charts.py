@@ -6,14 +6,20 @@ byte-identical charts. Numeric labels are rendered with
 :func:`~evalcards.serialize.fmt_num` so every visible number parses back to
 the exact export value it came from. The two charts that draw one mark per
 session, :func:`box_strip_svg` and :func:`stacked_columns_svg`, yield their
-markup piece by piece; joined, the pieces are the chart.
+markup one piece per mark; joined, the pieces are the chart. Each builds
+the constant text of its marks once per chart, row or column, and memoizes
+by value: a strip row keeps each point's whole mark, so a repeated value
+yields the same string, and the stacked chart keeps each share's
+``fmt_num`` text. Equal values (``0.0`` and ``-0.0``, ``1`` and ``1.0``)
+render alike, so they share an entry. ``fmt_num`` writes only ``[-0-9.]``,
+which ``escape`` would leave as it is.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from html import escape
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .survey import BoxStats
 from .serialize import fmt_num
@@ -98,7 +104,7 @@ def box_strip_svg(
             f'<line x1="{_x(px)}" y1="0" x2="{_x(px)}" y2="{axis_y}" '
             f'stroke="#eeeeee" stroke-width="1"/>'
             f'<text x="{_x(px)}" y="{axis_y + 12}" font-size="10" fill="#666" '
-            f'text-anchor="middle">{escape(fmt_num(round(value, 4)))}</text>'
+            f'text-anchor="middle">{fmt_num(round(value, 4))}</text>'
         )
     if x_label:
         yield (
@@ -120,11 +126,12 @@ def box_strip_svg(
                 f'fill="#999" font-style="italic">{escape(note)}</text>'
             )
             continue
+        tail = f'" cy="{_x(cy)}" r="2.4" fill="#4c78a8" fill-opacity="0.35"><title>'
+        marks: dict[float, str] = {}
         for value in row.points:
-            yield (
-                f'<circle cx="{_x(to_px(value))}" cy="{_x(cy)}" r="2.4" '
-                f'fill="#4c78a8" fill-opacity="0.35"><title>{escape(fmt_num(value))}</title></circle>'
-            )
+            if (mark := marks.get(value)) is None:
+                mark = marks[value] = f'<circle cx="{_x(to_px(value))}{tail}{fmt_num(value)}</title></circle>'
+            yield mark
         box = row.box
         if box is not None:
             half = ROW_H / 2 - 5
@@ -146,7 +153,7 @@ def box_strip_svg(
             for value in box.outliers:
                 yield (
                     f'<circle cx="{_x(to_px(value))}" cy="{_x(cy)}" r="2.8" fill="none" '
-                    f'stroke="#d62728"><title>{escape(fmt_num(value))}</title></circle>'
+                    f'stroke="#d62728"><title>{fmt_num(value)}</title></circle>'
                 )
             yield "</g>"
         if row.note and (row.box is not None or row.points):
@@ -254,18 +261,21 @@ def heatmap_svg(
 
 
 def stacked_columns_svg(
-    columns: Sequence[tuple[str, Sequence[tuple[str, float]]]],
+    columns: Sequence[tuple[str, Iterable[tuple[str, float]]]],
     comp_order: Sequence[str],
     *,
     height: int = 200,
     col_w: int | None = None,
 ) -> Iterator[str]:
     """One stacked column per session: each user's allocation of time
-    shares, yielded mark by mark."""
+    shares, yielded mark by mark. Each column's segments are iterated once."""
     if col_w is None:
         # keep large bundles on one screen; tooltips carry the detail
         col_w = max(12, min(26, round(1000 / max(len(columns), 1))))
-    color = {comp: component_color(i) for i, comp in enumerate(comp_order)}
+    # the text around a segment's label: the fill, then the component
+    fills = {comp: f'" fill="{component_color(i)}"><title>' for i, comp in enumerate(comp_order)}
+    names = {comp: f" · {escape(comp)}: " for comp in comp_order}
+    nums: dict[float, str] = {}
     left, bottom, top = 30, 58, 8
     width = left + len(columns) * col_w + 10
     total_h = height + top + bottom
@@ -281,25 +291,28 @@ def stacked_columns_svg(
             f'text-anchor="end">{fmt_num(t)}</text>'
         )
     label_every = max(1, (len(columns) + 39) // 40)  # avoid overlap on wide bundles
+    seg_w = col_w - 6
     for k, (label, segments) in enumerate(columns):
         x = left + k * col_w + 3
         y = top + height
+        label = escape(label)
         for comp, share in segments:
             if share <= 0:
                 continue
             seg_h = height * share
             y -= seg_h
+            if (num := nums.get(share)) is None:
+                num = nums[share] = fmt_num(share)
             yield (
-                f'<rect x="{x}" y="{_x(y)}" width="{col_w - 6}" height="{_x(seg_h)}" '
-                f'fill="{color[comp]}"><title>{escape(label)} · {escape(comp)}: '
-                f"{escape(fmt_num(share))}</title></rect>"
+                f'<rect x="{x}" y="{y:.2f}" width="{seg_w}" height="{seg_h:.2f}'
+                f'{fills[comp]}{label}{names[comp]}{num}</title></rect>'
             )
         if k % label_every == 0:
-            cx = x + (col_w - 6) / 2
+            cx = x + seg_w / 2
             yield (
                 f'<text x="{_x(cx)}" y="{top + height + 10}" font-size="8.5" fill="#444" '
                 f'text-anchor="end" transform="rotate(-55 {_x(cx)} {top + height + 10})">'
-                f"{escape(label)}</text>"
+                f"{label}</text>"
             )
     yield "</svg>"
 
@@ -322,7 +335,7 @@ def bars_svg(rows: Sequence[tuple[str, float, str]], *, domain: tuple[float, flo
             f'text-anchor="end">{escape(label)}</text>'
             f'<rect x="{GUTTER}" y="{y}" width="{_x(bar_w)}" height="{ROW_H - 9}" fill="{color}"/>'
             f'<text x="{_x(GUTTER + bar_w + 5)}" y="{y + 13}" font-size="10" '
-            f'fill="#333">{escape(fmt_num(value))}</text>'
+            f'fill="#333">{fmt_num(value)}</text>'
         )
     parts.append("</svg>")
     return "".join(parts)
@@ -345,8 +358,8 @@ def html_table(headers: Sequence[str], rows: Sequence[Sequence[object]], *, capt
             elif isinstance(value, (int, float)):
                 text = fmt_num(value)
             else:
-                text = str(value)
-            parts.append(f"<td>{escape(text)}</td>")
+                text = escape(str(value))
+            parts.append(f"<td>{text}</td>")
         parts.append("</tr>")
     parts.append("</tbody></table>")
     return "".join(parts)

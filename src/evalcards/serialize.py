@@ -9,6 +9,11 @@ durations/counts stay bare integers.
 :func:`write_canonical_json` hands the same text to a sink in chunks of a
 few thousand pieces, so that a writer holds no more than one chunk of a
 large document at a time.
+
+The emitter tests the exact types str, int and float before the rest. A
+document repeats its keys row after row, so each member's ``"<key>": ``
+header, escaped and indented, is made once per key and indent, in a cache
+that lives for one document; a key not yet in it must be a string.
 """
 from __future__ import annotations
 
@@ -74,13 +79,20 @@ def _escape(text: str) -> str:
 _FLUSH_PIECES = 4096
 
 
-def _emit(obj: Any, indent: int, pieces: list[str], sink: Callable[[str], Any] | None = None) -> None:
-    """Append the text of ``obj`` to ``pieces``. Given a ``sink``, the
-    emitter hands it the joined pieces and clears them before a list item or
-    a dict member, once they number more than ``_FLUSH_PIECES``."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
+def _emit(obj: Any, indent: int, pieces: list[str], headers: dict[tuple[str, int], str],
+          sink: Callable[[str], Any] | None = None) -> None:
+    """Append the text of ``obj`` to ``pieces``; ``headers`` is the
+    document's cache of member headers. Given a ``sink``, the emitter hands
+    it the joined pieces and clears them before a list item or a dict
+    member, once they number more than ``_FLUSH_PIECES``."""
+    kind = type(obj)
+    if kind is str:
+        pieces.append(f'"{_escape(obj)}"')
+    elif kind is int:
+        pieces.append(str(obj))
+    elif kind is float:
+        pieces.append(fmt_float(obj))
+    elif obj is None:
         pieces.append("null")
     elif obj is True:
         pieces.append("true")
@@ -97,30 +109,35 @@ def _emit(obj: Any, indent: int, pieces: list[str], sink: Callable[[str], Any] |
             pieces.append("{}")
             return
         keys = sorted(obj)
+        last = len(keys) - 1
         pieces.append("{\n")
         for i, key in enumerate(keys):
             if sink is not None and len(pieces) > _FLUSH_PIECES:
                 sink("".join(pieces))
                 pieces.clear()
-            if not isinstance(key, str):
-                raise TypeError(f"non-string key: {key!r}")
-            pieces.append(f'{inner}"{_escape(key)}": ')
-            _emit(obj[key], indent + 1, pieces, sink)
-            pieces.append(",\n" if i < len(keys) - 1 else "\n")
-        pieces.append(pad + "}")
+            if (header := headers.get((key, indent))) is None:
+                if not isinstance(key, str):
+                    raise TypeError(f"non-string key: {key!r}")
+                header = headers[key, indent] = f'{"  " * (indent + 1)}"{_escape(key)}": '
+            pieces.append(header)
+            _emit(obj[key], indent + 1, pieces, headers, sink)
+            pieces.append(",\n" if i < last else "\n")
+        pieces.append("  " * indent + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             pieces.append("[]")
             return
+        inner = "  " * (indent + 1)
+        last = len(obj) - 1
         pieces.append("[\n")
         for i, item in enumerate(obj):
             if sink is not None and len(pieces) > _FLUSH_PIECES:
                 sink("".join(pieces))
                 pieces.clear()
             pieces.append(inner)
-            _emit(item, indent + 1, pieces, sink)
-            pieces.append(",\n" if i < len(obj) - 1 else "\n")
-        pieces.append(pad + "]")
+            _emit(item, indent + 1, pieces, headers, sink)
+            pieces.append(",\n" if i < last else "\n")
+        pieces.append("  " * indent + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
 
@@ -128,7 +145,7 @@ def _emit(obj: Any, indent: int, pieces: list[str], sink: Callable[[str], Any] |
 def canonical_json(obj: Any) -> str:
     """Render ``obj`` as canonical, key-sorted, fixed-format JSON text."""
     pieces: list[str] = []
-    _emit(obj, 0, pieces)
+    _emit(obj, 0, pieces, {})
     pieces.append("\n")
     return "".join(pieces)
 
@@ -137,7 +154,7 @@ def write_canonical_json(obj: Any, sink: Callable[[str], Any]) -> None:
     """Hand the text of :func:`canonical_json` to ``sink`` in chunks; the
     chunks, joined, are that text."""
     pieces: list[str] = []
-    _emit(obj, 0, pieces, sink)
+    _emit(obj, 0, pieces, {}, sink)
     pieces.append("\n")
     sink("".join(pieces))
 

@@ -19,9 +19,11 @@ on access.
 
 Timestamps are any common ISO-8601 calendar date-time (extended or basic
 form, comma or dot fractions, ``Z`` or numeric offsets; week and ordinal
-dates are not supported), as :func:`parse_timestamp` reads them. They are
-normalized to UTC milliseconds; offsets are honored and then discarded,
-sub-millisecond digits truncate.
+dates are not supported, and every digit is ASCII), as
+:func:`parse_timestamp` reads them. They are normalized to UTC
+milliseconds; offsets are honored and then discarded. A fraction is of the
+last clock field given, the second or else the minute, and truncates to
+the millisecond.
 
 :func:`parse_log` reads a file in one scan when every line has the shape
 that :func:`session_to_jsonl` writes, except that its stamp may take any
@@ -85,11 +87,11 @@ _MS = timedelta(milliseconds=1)
 
 _ISO_RE = re.compile(
     r"""^
-    (?P<year>\d{4})(?P<dsep>-?)(?P<month>\d{2})(?P=dsep)(?P<day>\d{2})
+    (?P<year>[0-9]{4})(?P<dsep>-?)(?P<month>[0-9]{2})(?P=dsep)(?P<day>[0-9]{2})
     [Tt\ ]
-    (?P<hour>\d{2})(?P<tsep>:?)(?P<minute>\d{2})(?:(?P=tsep)(?P<second>\d{2}))?
-    (?:[.,](?P<frac>\d+))?
-    (?P<zone>[Zz]|[+-]\d{2}(?::?\d{2})?)?
+    (?P<hour>[0-9]{2})(?P<tsep>:?)(?P<minute>[0-9]{2})(?:(?P=tsep)(?P<second>[0-9]{2}))?
+    (?:[.,](?P<frac>[0-9]+))?
+    (?P<zone>[Zz]|[+-][0-9]{2}(?::?[0-9]{2})?)?
     $""",
     re.VERBOSE,
 )
@@ -175,8 +177,20 @@ def parse_timestamp(text: str) -> int:
         offset_min = sign * (hours * 60 + minutes)
 
     base_ms = (dt - _EPOCH) // _MS - offset_min * 60_000
-    frac_ms = int(frac.ljust(3, "0")[:3]) if frac else 0
+    # a fraction after the minute is a fraction of the minute, as in ISO-8601
+    frac_ms = _fraction_ms(frac, 60_000 if second is None else 1000) if frac else 0
     return base_ms + frac_ms
+
+
+def _fraction_ms(digits: str, unit_ms: int) -> int:
+    """``unit_ms`` times the fraction ``0.<digits>``, truncated: exact long
+    multiplication from the right, a thousand digits at a time, so that no
+    int is read from more digits than Python allows."""
+    carry = 0
+    for end in range(len(digits), 0, -1000):
+        start = max(end - 1000, 0)
+        carry = (unit_ms * int(digits[start:end]) + carry) // 10 ** (end - start)
+    return carry
 
 
 # Years 1 through 9999: the instants a four-digit year can spell.

@@ -51,6 +51,31 @@ def test_unserializable_types_rejected():
         canonical_json({"v": np.int64(1)})
 
 
+def test_a_key_at_two_depths_and_a_key_with_escapes_keep_their_bytes():
+    doc = {"k": {"k": [{"k": 1}], 'q"\n': 2.5}, 'q"\n': "v"}
+    assert canonical_json(doc) == (
+        "{\n"
+        '  "k": {\n'
+        '    "k": [\n'
+        "      {\n"
+        '        "k": 1\n'
+        "      }\n"
+        "    ],\n"
+        '    "q\\"\\n": 2.5000\n'
+        "  },\n"
+        '  "q\\"\\n": "v"\n'
+        "}\n"
+    )
+
+
+@pytest.mark.parametrize("key", [1, True])
+def test_a_non_string_key_is_rejected_after_a_string_key_of_its_text(key):
+    with pytest.raises(TypeError, match="non-string key"):
+        canonical_json([{str(key): 0}, {key: 0}])
+    with pytest.raises(TypeError, match="non-string key"):
+        write_canonical_json([{str(key): 0}, {key: 0}], lambda chunk: None)
+
+
 def test_string_escapes():
     text = canonical_json({"s": 'quote " backslash \\ tab \t newline \n bell \x07'})
     assert json.loads(text)["s"] == 'quote " backslash \\ tab \t newline \n bell \x07'

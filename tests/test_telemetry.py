@@ -1,8 +1,10 @@
 """Log parsing, timestamp normalization, and bundle loading."""
 import dataclasses
 import json
+import math
 import re
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -134,8 +136,11 @@ def canonical_shaped(draw):
 
 def _canonical_oracle(text):
     """The instant of a canonical-shaped stamp, from its fields at their
-    fixed places, as ``datetime`` reads them; None if there is none."""
+    fixed places, as ``datetime`` reads them; None if there is none. A field
+    is ASCII digits: ``int`` would also read other decimal digits."""
     t = text.strip()
+    if not t.isascii():
+        return None
     try:
         dt = datetime(int(t[:4]), int(t[5:7]), int(t[8:10]), int(t[11:13]), int(t[14:16]),
                       int(t[17:19]), tzinfo=timezone.utc)
@@ -153,7 +158,7 @@ def _canonical_oracle(text):
 @example("2024-01-01T00:60:00.000Z")  # minute 60
 @example("2024-01-01T00:00:60.000Z")  # second 60
 @example("0000-01-01T00:00:00.000Z")  # year 0
-@example("\u0662\u0660\u0662\u0664-01-01T00:00:00.000Z")  # non-ASCII digits
+@example("\u0662\u0660\u0662\u0664-01-01T00:00:00.000Z")  # non-ASCII digits, rejected
 @example("2024-01-01T00:00:00.000z")  # lowercase z
 @example(" 2024-01-01T00:00:00.000Z\n")  # surrounding whitespace
 def test_parse_timestamp_reads_canonical_shaped_stamps_as_datetime_does(text):
@@ -163,6 +168,34 @@ def test_parse_timestamp_reads_canonical_shaped_stamps_as_datetime_does(text):
             parse_timestamp(text)
     else:
         assert parse_timestamp(text) == expected
+
+
+@st.composite
+def fraction_stamps(draw):
+    """A stamp whose last clock field, the minute or the second, carries a
+    fraction of any length, and its instant: the field's unit times the
+    fraction, truncated to the millisecond."""
+    value = draw(st.integers(0, 59))
+    digits = draw(st.text("0123456789", min_size=1, max_size=40))
+    seconds = draw(st.booleans())
+    clock = f"00:00:{value:02d}" if seconds else f"00:{value:02d}"
+    unit_ms = 1000 if seconds else 60_000
+    fraction = Fraction(int(digits), 10 ** len(digits))
+    text = f"1970-01-01T{clock}{draw(st.sampled_from('.,'))}{digits}Z"
+    return text, value * unit_ms + math.floor(unit_ms * fraction)
+
+
+@given(fraction_stamps())
+@example(("1970-01-01T00:01,5Z", 90_000))  # a fraction of the minute
+@example(("1970-01-01T00:00.5Z", 30_000))
+@example(("1970-01-01T00:00.00001Z", 0))  # 0.6 ms truncates
+@example(("1970-01-01T00:00:00.1239Z", 123))  # a fraction of the second
+@example(("1970-01-01T00:00." + "9" * 5000 + "Z", 59_999))  # more digits than int() reads
+@example(("1970-01-01T00:00.1" + "6" * 1500 + "Z", 9_999))  # just below 1/6 of a minute
+@example(("1970-01-01T00:00.1" + "6" * 1499 + "7Z", 10_000))  # the last digit passes 1/6
+def test_parse_timestamp_reads_a_fraction_of_the_last_clock_field(stamp):
+    text, expected_ms = stamp
+    assert parse_timestamp(text) == expected_ms
 
 
 def test_format_timestamp_canonical_and_round_trips():
