@@ -44,20 +44,23 @@ print(f"{'archetype':12s} {'sessions':>8s} {'records':>8s} {'linearity':>10s}")
 for name, profile in profiles.items():
     result = generate_bundle(model, profile)
     metric_set = compute_metric_set(result.bundle, idle_cap_ms=None)
-    records = sum(len(s.records) for s in result.bundle.sessions)
+    records = sum(len(s.ts_ms) for s in result.bundle.sessions)
     print(
         f"{name:12s} {len(result.bundle):8d} {records:8d} "
         f"{metric_set.pooled_linearity.value:10.4f}"
     )
 
 ###############################################################################
-# Determinism: the same (model, profile) pair serializes identically.
+# Determinism: the same (model, profile) pair serializes identically. Each
+# session's ``other`` payloads travel beside it, in ``result.others``.
 
 first = generate_bundle(model, profiles["linear"])
 second = generate_bundle(model, profiles["linear"])
 same = all(
-    session_to_jsonl(a) == session_to_jsonl(b)
-    for a, b in zip(first.bundle.sessions, second.bundle.sessions)
+    session_to_jsonl(a, a_other) == session_to_jsonl(b, b_other)
+    for a, a_other, b, b_other in zip(
+        first.bundle.sessions, first.others, second.bundle.sessions, second.others
+    )
 )
 print(f"\nsame seed, byte-identical logs: {same}")
 
@@ -65,4 +68,4 @@ print(f"\nsame seed, byte-identical logs: {same}")
 # A peek at one generated log line.
 
 print("\nfirst record of u01_classification:")
-print(session_to_jsonl(first.bundle.sessions[0]).splitlines()[0])
+print(session_to_jsonl(first.bundle.sessions[0], first.others[0]).splitlines()[0])

@@ -182,10 +182,8 @@ def _auto_domain(rows: Sequence[ChartRow]) -> tuple[float, float]:
 def _heat_color(count: int, max_count: int, log_scale: bool) -> str:
     if count <= 0:
         return EMPTY_CELL
-    if max_count <= 0:
-        return EMPTY_CELL
-    if log_scale:
-        t = math.log1p(count) / math.log1p(max_count) if max_count > 0 else 0.0
+    if log_scale:  # heatmap_svg's max_count is the largest count, so it is > 0 here
+        t = math.log1p(count) / math.log1p(max_count)
     else:
         t = count / max_count
     t = min(max(t, 0.0), 1.0)

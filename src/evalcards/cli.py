@@ -112,22 +112,6 @@ def _write_temp(path: Path, text: _Text) -> tuple[Path, str]:
     return temp, digest.hexdigest()
 
 
-def _write_atomic(path: Path, text: _Text) -> str:
-    """Write ``text`` to ``path`` as UTF-8 and return the sha256 of the bytes.
-
-    The text goes to a temporary file in the same directory (see
-    :func:`_write_temp`), which then replaces ``path``, so ``path`` holds
-    either its old bytes or all of the new ones, never a part.
-    """
-    temp, digest = _write_temp(path, text)
-    try:
-        os.replace(temp, path)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
-    return digest
-
-
 def _in_batches(pieces: Iterable[str]) -> Callable[[Callable[[str], None]], None]:
     """A text, as :func:`_write_temp` takes it, that hands its sink ``pieces``
     joined ``serialize._FLUSH_PIECES`` at a time, so that no more than one
@@ -202,7 +186,8 @@ def cmd_taxonomy(args) -> int:
     path = Path(args.path)
     if args.action == "init":
         _check_overwrite(path, args.force)
-        _write_atomic(path, config_skeleton(args.name))
+        with _staged() as staged:
+            staged.append((_write_temp(path, config_skeleton(args.name))[0], path))
         print(f"wrote skeleton to {path}; assign an action to every level-2 entry")
         return EXIT_OK
 
@@ -249,7 +234,8 @@ def cmd_analyze(args) -> int:
     out = Path(args.out)
     _check_overwrite(out, args.force)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out, lambda sink: write_canonical_json(export, sink))
+    with _staged() as staged:
+        staged.append((_write_temp(out, lambda sink: write_canonical_json(export, sink))[0], out))
     print(
         f"{model.system_name}: sessions={len(bundle)} users={len(bundle.user_ids)} "
         f"components={len(model)} -> {out}"

@@ -276,29 +276,20 @@ def _index_from_counts(forward: int, backward: int, self_count: int) -> Linearit
     )
 
 
-def linearity(source: Session | Sequence[str], order: Sequence[str]) -> LinearityIndex:
-    """Classify every transition as forward, backward, or self.
-
-    ``source`` may be a session or a bare component-id sequence. Self
-    transitions never count toward the index.
+def linearity(session: Session, order: Sequence[str]) -> LinearityIndex:
+    """Classify every transition of ``session`` as forward, backward, or
+    self, by the components' positions in ``order``. Self transitions never
+    count toward the index.
     """
-    pos = {comp: i for i, comp in enumerate(order)}
-
-    if isinstance(source, Session):
-        comp_ids = source.model.comp_ids
-        positions = source.comp_idx
-        if tuple(order) != comp_ids:
-            pos_of = np.array([pos.get(c, -1) for c in comp_ids], dtype=np.int64)
-            positions = pos_of[positions]
-            if (positions < 0).any():
-                missing = sorted({comp_ids[i] for i in source.comp_idx[positions < 0].tolist()})
-                raise ComponentNotInOrder(f"component ids not in order: {missing}")
-    else:
-        ids = list(source)
-        missing = sorted({c for c in ids if c not in pos})
-        if missing:
+    comp_ids = session.model.comp_ids
+    positions = session.comp_idx
+    if tuple(order) != comp_ids:
+        pos = {comp: i for i, comp in enumerate(order)}
+        pos_of = np.array([pos.get(c, -1) for c in comp_ids], dtype=np.int64)
+        positions = pos_of[positions]
+        if (positions < 0).any():
+            missing = sorted({comp_ids[i] for i in session.comp_idx[positions < 0].tolist()})
             raise ComponentNotInOrder(f"component ids not in order: {missing}")
-        positions = np.array([pos[c] for c in ids], dtype=np.int64)
     backward, self_count, forward = np.bincount(np.sign(np.diff(positions)) + 1, minlength=3).tolist()
     return _index_from_counts(forward, backward, self_count)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Mapping
 
 from .errors import EvalCardsError, decode_utf8
 from .serialize import canonical_json
@@ -274,7 +274,7 @@ def _archetype_indices(model: ComponentModel, profile: SynthProfile, rng: SplitM
 
 def _session(
     model: ComponentModel, profile: SynthProfile, rng: SplitMix64, user_id: str, task_id: str
-) -> Session:
+) -> tuple[Session, dict[int, Any]]:
     components = model.components
     indices = _archetype_indices(model, profile, rng)
     ts = SESSION_BASE_MS
@@ -294,9 +294,7 @@ def _session(
             }
         elif comp.l2_id == "explain_model":
             others[step] = {"model_viewed": f"model_{rng.randint(1, 5):02d}"}
-    return Session(
-        user_id=user_id, task_id=task_id, model=model, ts_ms=stamps, comp_idx=indices, other=others
-    )
+    return Session(user_id=user_id, task_id=task_id, model=model, ts_ms=stamps, comp_idx=indices), others
 
 
 # --------------------------------------------------------------------------
@@ -307,6 +305,7 @@ def _session(
 @dataclass(frozen=True)
 class SynthResult:
     bundle: SessionBundle
+    others: tuple[Mapping[int, Any], ...]  # {row: 'other' payload} per session, aligned with bundle.sessions
     ratings: tuple[ComponentRating, ...]
     sus: tuple[SusResponse, ...]
     profile: SynthProfile
@@ -331,11 +330,10 @@ def generate_bundle(model: ComponentModel, profile: SynthProfile) -> SynthResult
     }
     survey_seeds = {user: master.next_u64() for user in users}
 
-    sessions = []
-    for user in users:
-        for task in profile.tasks:
-            rng = SplitMix64(session_seeds[(user, task)])
-            sessions.append(_session(model, profile, rng, user, task))
+    sessions, others = zip(*(
+        _session(model, profile, SplitMix64(session_seeds[(user, task)]), user, task)
+        for user in users for task in profile.tasks
+    ))
 
     ratings = []
     sus = []
@@ -352,8 +350,8 @@ def generate_bundle(model: ComponentModel, profile: SynthProfile) -> SynthResult
             )
         sus.append(SusResponse(user_id=user, items=tuple(rng.randint(1, 5) for _ in range(10))))
 
-    bundle = SessionBundle(model=model, sessions=tuple(sessions))
-    return SynthResult(bundle=bundle, ratings=tuple(ratings), sus=tuple(sus), profile=profile)
+    bundle = SessionBundle(model=model, sessions=sessions)
+    return SynthResult(bundle=bundle, others=others, ratings=tuple(ratings), sus=tuple(sus), profile=profile)
 
 
 # --------------------------------------------------------------------------
@@ -375,9 +373,9 @@ def write_fixture_tree(result: SynthResult, out_dir: str | Path) -> dict:
     for stale in logs_dir.glob("*.jsonl"):  # a rerun must not leave old sessions behind
         stale.unlink()
 
-    for session in result.bundle.sessions:
+    for session, other in zip(result.bundle.sessions, result.others):
         path = logs_dir / f"{session.user_id}_{session.task_id}.jsonl"
-        path.write_text(session_to_jsonl(session), encoding="utf-8")
+        path.write_text(session_to_jsonl(session, other), encoding="utf-8")
 
     lines = [",".join(RATINGS_HEADER)]
     for r in result.ratings:

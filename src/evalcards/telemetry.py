@@ -11,11 +11,7 @@ A :class:`Session` is columnar. ``ts_ms`` is an int64 array of record
 instants and ``comp_idx`` an int32 array of positions in the model's
 canonical order, ``model.comp_ids``. Reading a log checks each ``other``
 payload (one JSON object, on a component that may carry one) and then drops
-it, because no metric reads it: a loaded session has ``other == {}``. Only
-``synth`` fills ``Session.other``, which maps a row to its payload, so that
-:func:`session_to_jsonl` can write it. ``Session.records`` is a lazy,
-read-only view over the columns that builds one :class:`LogRecord` per row
-on access.
+it, because no metric reads it.
 
 Timestamps are any common ISO-8601 calendar date-time (extended or basic
 form, comma or dot fractions, ``Z`` or numeric offsets; week and ordinal
@@ -43,10 +39,11 @@ reference for every result and message, and the scan agrees with it.
 Writing runs on the columns too. :func:`session_to_jsonl` formats all of a
 session's stamps in one ``np.datetime_as_string`` call, and builds each
 line from a per-component prefix (dumped once per model), the row's
-``other`` payload if it has one, and the stamp. The bytes are those of
-``json.dumps(record, sort_keys=True)`` for each record. :func:`format_timestamp`
-uses the same formatter, so every written year has four digits, and
-instants outside years 1 to 9999 raise :class:`OverflowError`.
+``other`` payload if the caller gives one, and the stamp. The bytes are
+those of ``json.dumps(record, sort_keys=True)`` for each record.
+:func:`format_timestamp` uses the same formatter, so every written year has
+four digits, and instants outside years 1 to 9999 raise
+:class:`OverflowError`.
 """
 from __future__ import annotations
 
@@ -60,7 +57,8 @@ from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 from itertools import chain, compress
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from types import MappingProxyType
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -218,17 +216,19 @@ def format_timestamp(ms: int) -> str:
 
 @dataclass(frozen=True)
 class LogRecord:
-    """One interaction: the instant a user entered a terminal component."""
+    """One interaction: the instant a user entered a terminal component.
+    Only ``bench/layers.py`` reads it, through :attr:`Session.records`; it
+    goes, with that view, in ROADMAP item 6, step 0."""
 
     ts_ms: int
     lv1_id: Level1
     lv2_id: str
     comp_id: str
-    other: Any = None
 
 
 class _RecordView(Sequence):
-    """A session's rows as :class:`LogRecord` objects, built on access."""
+    """A session's rows as :class:`LogRecord` objects, built on access, for
+    ``bench/layers.py`` only (until ROADMAP item 6, step 0)."""
 
     __slots__ = ("_session",)
 
@@ -238,21 +238,13 @@ class _RecordView(Sequence):
     def __len__(self) -> int:
         return len(self._session.ts_ms)
 
-    def _record(self, row: int, ts_ms: int, idx: int) -> LogRecord:
-        comp = self._session.model.components[idx]
-        return LogRecord(ts_ms, comp.l1_id, comp.l2_id, comp.comp_id, self._session.other.get(row))
-
     def __getitem__(self, i):
         rows = range(len(self))[i]
         if isinstance(rows, range):
             return tuple(self[row] for row in rows)
         s = self._session
-        return self._record(rows, int(s.ts_ms[rows]), int(s.comp_idx[rows]))
-
-    def __iter__(self) -> Iterator[LogRecord]:
-        s = self._session
-        for row, (ts_ms, idx) in enumerate(zip(s.ts_ms.tolist(), s.comp_idx.tolist())):
-            yield self._record(row, ts_ms, idx)
+        comp = s.model.components[s.comp_idx[rows]]
+        return LogRecord(int(s.ts_ms[rows]), comp.l1_id, comp.l2_id, comp.comp_id)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,9 +253,6 @@ class Session:
 
     ``ts_ms`` (int64) holds each record's instant and ``comp_idx`` (int32)
     its component's position in ``model.comp_ids``; both are read-only.
-    ``other`` maps a row (0 to ``len(ts_ms) - 1``) to its ``other`` payload,
-    for the rows that carry one. Only ``synth`` fills it; :func:`parse_log`
-    checks each payload and drops it, so a loaded session has ``other == {}``.
     ``quarantined`` holds ``{"line", "comp_id"}`` for each record set aside
     for naming a component outside the model. Sessions compare by value.
     """
@@ -273,7 +262,6 @@ class Session:
     model: ComponentModel = field(repr=False)
     ts_ms: np.ndarray
     comp_idx: np.ndarray
-    other: Mapping[int, Any] = field(default_factory=dict)
     quarantined: tuple[Mapping, ...] = ()
 
     def __post_init__(self):
@@ -290,11 +278,6 @@ class Session:
             raise NonMonotonicTimestamps(
                 f"session {self.user_id}/{self.task_id} has decreasing timestamps"
             )
-        if self.other and not (min(self.other) >= 0 and max(self.other) < len(ts)):
-            raise TelemetryError(
-                f"session {self.user_id}/{self.task_id}: 'other' rows must lie in "
-                f"0..{len(ts) - 1}, got {sorted(self.other)}"
-            )
         ts.flags.writeable = False
         idx.flags.writeable = False
         object.__setattr__(self, "ts_ms", ts)
@@ -304,8 +287,8 @@ class Session:
         if not isinstance(other, Session):
             return NotImplemented
         return (
-            (self.user_id, self.task_id, self.model, self.other, self.quarantined)
-            == (other.user_id, other.task_id, other.model, other.other, other.quarantined)
+            (self.user_id, self.task_id, self.model, self.quarantined)
+            == (other.user_id, other.task_id, other.model, other.quarantined)
             and np.array_equal(self.ts_ms, other.ts_ms)
             and np.array_equal(self.comp_idx, other.comp_idx)
         )
@@ -316,7 +299,8 @@ class Session:
 
     @property
     def records(self) -> Sequence[LogRecord]:
-        """Read-only view of the rows, one :class:`LogRecord` per record."""
+        """One :class:`LogRecord` per row, for ``bench/layers.py`` only
+        (until ROADMAP item 6, step 0)."""
         return _RecordView(self)
 
     @property
@@ -330,10 +314,6 @@ class Session:
     @property
     def span_ms(self) -> int:
         return self.end_ms - self.start_ms
-
-    def comp_sequence(self) -> tuple[str, ...]:
-        comp_ids = self.model.comp_ids
-        return tuple(comp_ids[i] for i in self.comp_idx.tolist())
 
 
 @dataclass(frozen=True)
@@ -384,8 +364,8 @@ def parse_log(
 
     Each record is checked once, in this order: JSON, fields, timestamp,
     ``lv1_id``, unknown component, hierarchy, ``other`` payload. Every
-    error names the line. An ``other`` payload is checked and not kept: the
-    session's ``other`` is empty. With ``sort_timestamps``, out-of-order records
+    error names the line. An ``other`` payload is checked and not kept. With
+    ``sort_timestamps``, out-of-order records
     are stably sorted by timestamp; otherwise decreasing timestamps are
     rejected. With ``allow_unknown_components``, records naming components
     outside the model are quarantined on the session instead of failing
@@ -693,16 +673,23 @@ def _line_prefixes(model: ComponentModel) -> tuple[str, ...]:
     )
 
 
-def session_to_jsonl(session: Session) -> str:
+def session_to_jsonl(session: Session, other: Mapping[int, Any] = MappingProxyType({})) -> str:
     """One JSON object per record, keys sorted, ``\\n`` after every line.
 
-    A line is its component's prefix, then ``other`` if the row has a
-    payload, then the timestamp: the bytes of ``json.dumps(record,
-    sort_keys=True)``.
+    ``other`` maps a row (0 to ``len(session.ts_ms) - 1``) to its ``other``
+    payload, for the rows that carry one. A line is its component's prefix,
+    then ``other`` if the row has a payload, then the timestamp: the bytes
+    of ``json.dumps(record, sort_keys=True)``.
     """
+    n = len(session.ts_ms)
+    if other and not (min(other) >= 0 and max(other) < n):
+        raise TelemetryError(
+            f"session {session.user_id}/{session.task_id}: 'other' rows must lie in "
+            f"0..{n - 1}, got {sorted(other)}"
+        )
     prefixes = _line_prefixes(session.model)
     heads = [prefixes[i] for i in session.comp_idx.tolist()]
-    for row, payload in session.other.items():
+    for row, payload in other.items():
         heads[row] += f'"other": {_encode_sorted(payload)}, '
     stamps = _format_stamps(session.ts_ms)
     return "".join([f'{head}"timestamp": "{stamp}Z"}}\n' for head, stamp in zip(heads, stamps)])
@@ -721,7 +708,7 @@ def bundle_manifest(bundle: SessionBundle) -> dict:
             {
                 "user_id": s.user_id,
                 "task_id": s.task_id,
-                "record_count": len(s.records),
+                "record_count": len(s.ts_ms),
                 "quarantined_count": len(s.quarantined),
                 "start": start + "Z",
                 "end": end + "Z",

@@ -69,32 +69,42 @@ def oracle_pair_counts(sequences, order):
     ]
 
 
-def oracle_attribute_time(records, idle_cap_ms):
-    """Per-record loop: each gap, truncated to the cap, goes to the earlier
+def comp_ids_of(session):
+    """The component id of each record of ``session``, in order."""
+    comp_ids = session.model.comp_ids
+    return [comp_ids[i] for i in session.comp_idx.tolist()]
+
+
+def oracle_attribute_time(session, idle_cap_ms):
+    """Per-pair loop: each gap, truncated to the cap, goes to the earlier
     record's component; the last record's component gets at least 0."""
+    stamps = session.ts_ms.tolist()
+    comps = comp_ids_of(session)
     out = {}
-    for current, nxt in zip(records, records[1:]):
-        gap = nxt.ts_ms - current.ts_ms
+    for k in range(len(stamps) - 1):
+        gap = stamps[k + 1] - stamps[k]
         if idle_cap_ms is not None and gap > idle_cap_ms:
             gap = idle_cap_ms
-        out[current.comp_id] = out.get(current.comp_id, 0) + gap
-    out.setdefault(records[-1].comp_id, 0)
+        out[comps[k]] = out.get(comps[k], 0) + gap
+    out.setdefault(comps[-1], 0)
     return out
 
 
-def oracle_session_jsonl(session):
-    """The per-record log writer: one dict per record, dumped with sorted
-    keys; the stamp comes from ``datetime``, its year padded to 4 digits."""
+def oracle_session_jsonl(session, other):
+    """The per-record log writer: one dict per record, with its payload from
+    ``other`` (row to payload), dumped with sorted keys; the stamp comes from
+    ``datetime``, its year padded to 4 digits."""
     lines = []
-    for record in session.records:
-        dt = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(milliseconds=record.ts_ms)
+    for row, (ts_ms, idx) in enumerate(zip(session.ts_ms.tolist(), session.comp_idx.tolist())):
+        comp = session.model.components[idx]
+        dt = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(milliseconds=ts_ms)
         out = {
-            "timestamp": f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}.{record.ts_ms % 1000:03d}Z",
-            "lv1_id": record.lv1_id.value,
-            "lv2_id": record.lv2_id,
-            "comp_id": record.comp_id,
+            "timestamp": f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}.{ts_ms % 1000:03d}Z",
+            "lv1_id": comp.l1_id.value,
+            "lv2_id": comp.l2_id,
+            "comp_id": comp.comp_id,
         }
-        if record.other is not None:
-            out["other"] = record.other
+        if row in other:
+            out["other"] = other[row]
         lines.append(json.dumps(out, sort_keys=True))
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import evalcards
-from evalcards.cli import main, parse_duration_ms, CliError, _write_atomic
+from evalcards.cli import main, parse_duration_ms, CliError, _staged, _write_temp
 from evalcards.fixtures import fixture_text
 from corruptions import CORRUPTIONS
 
@@ -793,7 +793,8 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, f
     else:
         monkeypatch.setattr(os, "replace", refused)
     with pytest.raises(OSError):
-        _write_atomic(target, "new text")
+        with _staged() as staged:  # how taxonomy init, analyze, render and compare commit
+            staged.append((_write_temp(target, "new text")[0], target))
     monkeypatch.undo()
     assert target.read_text(encoding="utf-8") == "old"
     assert os.listdir(tmp_path) == ["report.html"]

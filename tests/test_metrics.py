@@ -18,7 +18,7 @@ from evalcards.synth import Archetype, SplitMix64, SynthProfile, generate_bundle
 from evalcards.taxonomy import ResolutionAction, resolve_model
 from evalcards.telemetry import Session, SessionBundle, parse_timestamp
 
-from oracles import oracle_attribute_time, oracle_linearity_counts, oracle_pair_counts
+from oracles import comp_ids_of, oracle_attribute_time, oracle_linearity_counts, oracle_pair_counts
 
 REFERENCE_KEYS = [
     "open_dataset",
@@ -98,7 +98,7 @@ def test_conservation_on_seeded_sessions(visus_model):
     for session in bundle.sessions:
         attributed = attribute_time(session, idle_cap_ms=None)
         # independent oracle: telescoping sum of raw timestamp diffs
-        ts = [r.ts_ms for r in session.records]
+        ts = session.ts_ms.tolist()
         oracle_span = sum(b - a for a, b in zip(ts, ts[1:]))
         assert sum(attributed.values()) == oracle_span == session.span_ms
 
@@ -107,7 +107,7 @@ def test_effort_profile_covers_all_components_and_counts_visits(visus_model):
     bundle = random_bundle(visus_model, n_users=3, seed=21)
     effort = compute_effort(bundle, idle_cap_ms=None)
     assert tuple(effort.totals_ms) == visus_model.comp_ids
-    assert sum(effort.visit_counts.values()) == sum(len(s.records) for s in bundle.sessions)
+    assert sum(effort.visit_counts.values()) == sum(len(s.ts_ms) for s in bundle.sessions)
     for row in effort.per_session:
         assert set(row.per_comp_ms) == set(visus_model.comp_ids)
 
@@ -146,12 +146,12 @@ def test_matrix_collapse_repeats(identity_model):
 def test_matrix_total_invariant(visus_model):
     bundle = random_bundle(visus_model, n_users=10, seed=13)
     matrix = transition_matrix(bundle.sessions, visus_model)
-    assert matrix.total == sum(len(s.records) - 1 for s in bundle.sessions)
+    assert matrix.total == sum(len(s.ts_ms) - 1 for s in bundle.sessions)
 
     collapsed = transition_matrix(bundle.sessions, visus_model, collapse_repeats=True)
     collapsed_lengths = []
     for session in bundle.sessions:
-        ids = [r.comp_id for r in session.records]
+        ids = comp_ids_of(session)
         deduped = [ids[0]] + [b for a, b in zip(ids, ids[1:]) if a != b]
         collapsed_lengths.append(len(deduped))
     assert collapsed.total == sum(n - 1 for n in collapsed_lengths)
@@ -186,7 +186,7 @@ def test_matrices_match_pair_oracle(system, collapse):
     for level, (computed, order, unit) in levels.items():
         matrix = transition_matrix(bundle.sessions, model, level, collapse_repeats=collapse)
         unit_of = {c.comp_id: unit(c) for c in model.components}
-        sequences = [[unit_of[r.comp_id] for r in s.records] for s in bundle.sessions]
+        sequences = [[unit_of[c] for c in comp_ids_of(s)] for s in bundle.sessions]
         if collapse:
             sequences = [
                 [x for i, x in enumerate(seq) if i == 0 or seq[i - 1] != x] for seq in sequences
@@ -243,7 +243,7 @@ def test_linearity_matches_exhaustive_pairwise_oracle(visus_model):
     for _ in range(200):
         n = rng.randint(2, 40)
         ids = [order[rng.randint(0, len(order) - 1)] for _ in range(n)]
-        index = linearity(ids, order)
+        index = linearity(make_session(visus_model, ids, list(range(n))), order)
         forward = backward = selfs = 0
         for a, b in zip(ids, ids[1:]):
             if a == b:
@@ -280,8 +280,10 @@ def test_pooled_linearity_equals_sum_of_session_linearities(visus_model):
 
 
 def test_linearity_unknown_component_rejected(identity_model):
-    with pytest.raises(ComponentNotInOrder):
-        linearity(["open_dataset", "mystery"], identity_model.comp_ids)
+    session = make_session(identity_model, ["open_dataset", "explore_dataset"], [0, 1000])
+    order = [c for c in identity_model.comp_ids if c != "explore_dataset"]
+    with pytest.raises(ComponentNotInOrder, match=r"\['explore_dataset'\]"):
+        linearity(session, order)
 
 
 # --------------------------------------------------------------------------
@@ -341,16 +343,15 @@ def test_metric_set_matches_per_record_loops(visus_model, idle_cap_ms):
     visits = {c: 0 for c in order}
     pooled = [0, 0, 0]
     for session, row, lin in zip(bundle.sessions, effort.per_session, metric_set.session_linearity):
-        records = list(session.records)
-        expected = oracle_attribute_time(records, idle_cap_ms)
+        expected = oracle_attribute_time(session, idle_cap_ms)
         assert attribute_time(session, idle_cap_ms) == expected
         assert list(attribute_time(session, idle_cap_ms)) == list(expected)  # key order too
         assert row.per_comp_ms == {c: expected.get(c, 0) for c in order}
         for c, ms in row.per_comp_ms.items():
             totals[c] += ms
-        for r in records:
-            visits[r.comp_id] += 1
-        counts = oracle_linearity_counts(session.comp_sequence(), order)
+        for c in comp_ids_of(session):
+            visits[c] += 1
+        counts = oracle_linearity_counts(comp_ids_of(session), order)
         assert (lin.index.forward_count, lin.index.backward_count, lin.index.self_count) == counts
         assert linearity(session, order) == lin.index
         pooled = [a + b for a, b in zip(pooled, counts)]
@@ -368,11 +369,12 @@ def test_linearity_of_session_in_another_order(visus_model):
     order = list(reversed(visus_model.comp_ids[:4])) + list(visus_model.comp_ids[4:])
     for session in bundle.sessions:
         index = linearity(session, order)
-        counts = oracle_linearity_counts(session.comp_sequence(), order)
+        counts = oracle_linearity_counts(comp_ids_of(session), order)
         assert (index.forward_count, index.backward_count, index.self_count) == counts
     session = bundle.sessions[0]
-    with pytest.raises(ComponentNotInOrder, match=session.comp_sequence()[0]):
-        linearity(session, [c for c in order if c != session.comp_sequence()[0]])
+    first = comp_ids_of(session)[0]
+    with pytest.raises(ComponentNotInOrder, match=first):
+        linearity(session, [c for c in order if c != first])
 
 
 def test_metric_set_records_options(visus_model):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import oracle_session_jsonl
+from oracles import comp_ids_of, oracle_session_jsonl
 
 from evalcards import telemetry
 from evalcards.fixtures import fixture_model
@@ -243,8 +243,8 @@ def test_happy_path_three_records(identity_model):
         ]
     )
     session = parse_log(text, identity_model, user_id="u1", task_id="classification")
-    assert len(session.records) == 3
-    assert session.comp_sequence() == ("open_dataset", "explore_dataset", "export_model")
+    assert len(session.ts_ms) == 3
+    assert comp_ids_of(session) == ["open_dataset", "explore_dataset", "export_model"]
     assert session.span_ms == 120_000
 
 
@@ -270,7 +270,7 @@ def test_unknown_component_quarantined_when_allowed(visus_model):
     session = parse_log(
         text, visus_model, user_id="u1", task_id="t", allow_unknown_components=True
     )
-    assert len(session.records) == 1
+    assert len(session.ts_ms) == 1
     assert session.quarantined == ({"line": 2, "comp_id": "summarize_models"},)
 
 
@@ -278,19 +278,23 @@ def test_other_payload_only_for_problem_and_explanation(visus_model):
     # Both read paths check a payload and drop it: the per-line loop reads
     # records as json.dumps writes them, the one scan lines as synth writes them.
     target = {"parameters": {"target_metric": "f1_score"}}
-    per_line = "\n".join(
-        [
-            line("2024-01-01T00:00:00Z", "problem", "specify_problem", "select_target_metric", other=target),
-            line("2024-01-01T00:01:00Z", "model", "explain_model", "see_pdp", other={"model_viewed": "m1"}),
-        ]
-    )
+
+    def per_line(target_other, pdp_other):
+        return "\n".join(
+            [
+                line("2024-01-01T00:00:00Z", "problem", "specify_problem", "select_target_metric",
+                     other=target_other),
+                line("2024-01-01T00:01:00Z", "model", "explain_model", "see_pdp", other=pdp_other),
+            ]
+        )
+
+    with_payloads = per_line(target, {"model_viewed": "m1"})
     scanned = _with_other(_TARGET, json.dumps(target, sort_keys=True))
-    assert telemetry._scan_log(per_line, visus_model, False) is None
+    assert telemetry._scan_log(with_payloads, visus_model, False) is None
     assert telemetry._scan_log(scanned, visus_model, False) is not None
-    for ok in (per_line, scanned):
+    for ok, bare in ((with_payloads, per_line(None, None)), (scanned, _TARGET)):
         session = parse_log(ok, visus_model, user_id="u1", task_id="t")
-        assert session.other == {}
-        assert all(record.other is None for record in session.records)
+        assert session == parse_log(bare, visus_model, user_id="u1", task_id="t")
 
     bad_per_line = line("2024-01-01T00:00:00Z", "data", "open_dataset", "open_dataset", other={"x": 1})
     bad_scanned = _with_other(_OPEN, '{"x": 1}')
@@ -317,7 +321,7 @@ def test_out_of_order_rejected_unless_sorting(identity_model):
     with pytest.raises(NonMonotonicTimestamps):
         parse_log(text, identity_model, user_id="u1", task_id="t")
     session = parse_log(text, identity_model, user_id="u1", task_id="t", sort_timestamps=True)
-    assert session.comp_sequence() == ("explore_dataset", "open_dataset")
+    assert comp_ids_of(session) == ["explore_dataset", "open_dataset"]
 
 
 def test_sorting_is_stable_on_equal_timestamps(identity_model):
@@ -330,7 +334,7 @@ def test_sorting_is_stable_on_equal_timestamps(identity_model):
     )
     session = parse_log(text, identity_model, user_id="u", task_id="t", sort_timestamps=True)
     # the two equal-timestamp records keep their input order
-    assert session.comp_sequence() == ("explore_dataset", "specify_problem", "open_dataset")
+    assert comp_ids_of(session) == ["explore_dataset", "specify_problem", "open_dataset"]
 
 
 def test_session_columns_and_records_view(visus_model):
@@ -347,15 +351,13 @@ def test_session_columns_and_records_view(visus_model):
     assert session.ts_ms.tolist() == [1_704_067_200_000 + k * 60_000 for k in range(3)]
     order = visus_model.comp_ids
     assert [order[i] for i in session.comp_idx.tolist()] == ["open_dataset", "select_target_metric", "see_pdp"]
-    assert session.other == {}  # the payloads were checked and dropped
     with pytest.raises(ValueError):
         session.ts_ms[0] = 0  # the columns are read-only
 
     records = session.records
     assert len(records) == 3
-    assert [r.comp_id for r in records] == list(session.comp_sequence())
+    assert [r.comp_id for r in records] == comp_ids_of(session)
     assert records[-1] == records[2] == list(records)[2]
-    assert [r.other for r in records] == [None, None, None]
     assert records[-1].lv2_id == "explain_model"
     assert records[1:] == tuple(records)[1:]
     assert isinstance(records[0].ts_ms, int)
@@ -364,9 +366,10 @@ def test_session_columns_and_records_view(visus_model):
 
 
 @pytest.mark.parametrize("row", [-1, 2])
-def test_session_rejects_other_row_outside_its_records(visus_model, row):
+def test_session_to_jsonl_rejects_other_row_outside_its_records(visus_model, row):
+    session = Session("u1", "t", visus_model, [0, 1], [0, 1])
     with pytest.raises(telemetry.TelemetryError, match="'other' rows must lie in 0..1"):
-        Session("u1", "t", visus_model, [0, 1], [0, 1], {row: {"model_viewed": "m1"}})
+        session_to_jsonl(session, {row: {"model_viewed": "m1"}})
 
 
 def test_sorting_makes_result_independent_of_arrival_order(identity_model):
@@ -424,15 +427,16 @@ def written_sessions(draw):
     rows = st.lists(st.integers(FIRST_MS, LAST_MS), min_size=n, max_size=n)
     comps = st.lists(st.integers(0, len(model) - 1), min_size=n, max_size=n)
     other = draw(st.dictionaries(st.integers(0, n - 1), _PAYLOADS, max_size=n))
-    return Session("u1", "t1", model, sorted(draw(rows)), draw(comps), other)
+    return Session("u1", "t1", model, sorted(draw(rows)), draw(comps)), other
 
 
 @given(written_sessions())
-@example(Session("u1", "t1", SHIPPED_MODELS[0], [FIRST_MS, 0, LAST_MS], [0, 1, 2],
-                 {1: {"z": ["caf\u00e9", 'a"b\\c\n', 1.5, {"y": None}], "a": -0.0}}))
-@example(Session("u1", "t1", SHIPPED_MODELS[0], [0, 1], [0, 0], {0: "plain ascii"}))
-def test_session_to_jsonl_matches_per_record_writer(session):
-    assert session_to_jsonl(session) == oracle_session_jsonl(session)
+@example((Session("u1", "t1", SHIPPED_MODELS[0], [FIRST_MS, 0, LAST_MS], [0, 1, 2]),
+          {1: {"z": ["caf\u00e9", 'a"b\\c\n', 1.5, {"y": None}], "a": -0.0}}))
+@example((Session("u1", "t1", SHIPPED_MODELS[0], [0, 1], [0, 0]), {0: "plain ascii"}))
+def test_session_to_jsonl_matches_per_record_writer(written):
+    session, other = written
+    assert session_to_jsonl(session, other) == oracle_session_jsonl(session, other)
 
 
 def test_round_trip_preserves_records(visus_model):
@@ -444,13 +448,13 @@ def test_round_trip_preserves_records(visus_model):
         dwell_max_ms=90_000,
         seed=11,
     )
-    bundle = generate_bundle(visus_model, profile).bundle
-    assert any(session.other for session in bundle.sessions)
-    for session in bundle.sessions:
-        text = session_to_jsonl(session)
+    result = generate_bundle(visus_model, profile)
+    assert any(result.others)
+    for session, other in zip(result.bundle.sessions, result.others):
+        text = session_to_jsonl(session, other)
         back = parse_log(text, visus_model, user_id=session.user_id, task_id=session.task_id)
         # every record comes back; its 'other' payload was checked and dropped
-        assert back == dataclasses.replace(session, other={})
+        assert back == session
         assert session_to_jsonl(back) == re.sub(r'"other": \{.*\}, ', "", text)
 
 
@@ -604,7 +608,7 @@ def drawn_logs(draw):
         other = {}
         if model.components[idx].l2_id in telemetry.OTHER_ALLOWED_L2 and draw(st.booleans()):
             other = {0: draw(st.dictionaries(_TEXT, _PAYLOADS, max_size=3))}
-        line = session_to_jsonl(Session("u1", "t", model, [ms], [idx], other))[:-1]
+        line = session_to_jsonl(Session("u1", "t", model, [ms], [idx]), other)[:-1]
         if style != "synth":
             stamp, scan_form = draw(rewritten_stamps(ms, scan_only=style == "scan"))
             line = _set_stamp(line, stamp)
@@ -708,8 +712,9 @@ def test_a_messy_shaped_log_is_read_in_the_scan(visus_model):
         archetype=Archetype.NONLINEAR, n_users=1, tasks=("classification",),
         dwell_min_ms=500, dwell_max_ms=90_000, seed=3,
     )
-    session = generate_bundle(visus_model, profile).bundle.sessions[0]
-    lines = session_to_jsonl(session).splitlines()
+    result = generate_bundle(visus_model, profile)
+    session = result.bundle.sessions[0]
+    lines = session_to_jsonl(session, result.others[0]).splitlines()
     forms = (
         lambda ms: format_timestamp(ms),
         lambda ms: format_timestamp(ms + 330 * 60_000)[:-1] + "+05:30",
@@ -725,12 +730,11 @@ def test_a_messy_shaped_log_is_read_in_the_scan(visus_model):
     assert telemetry._scan_log(text, visus_model, True) is not None
     parsed = _parsed(text, visus_model, **flags)
     assert parsed == _per_line(text, visus_model, **flags)
-    comps = session.comp_sequence()
+    comps = comp_ids_of(session)
     assert parsed == dataclasses.replace(
         session,
         user_id="u1",
         task_id="t",
-        other={},
         quarantined=(
             {"line": 4, "comp_id": "no_such_" + comps[0]},
             {"line": len(lines), "comp_id": "no_such_" + comps[3]},
@@ -792,7 +796,7 @@ def test_parse_log_splits_lines_as_load_bundle_does(tmp_path, visus_model):
     log.write_bytes(raw.encode("utf-8"))
     session = parse_log(raw, visus_model, user_id="u1", task_id="t")
     assert load_bundle(tmp_path, visus_model).sessions == (session,)
-    assert len(session.records) == 3 and session.other == {}
+    assert len(session.ts_ms) == 3
 
     bad = raw + "\r\nnot json\n"
     log.write_bytes(bad.encode("utf-8"))
@@ -879,5 +883,5 @@ def test_bundle_manifest_counts(tmp_path, visus_model):
     assert manifest["session_count"] == len(bundle)
     assert manifest["user_count"] == 3
     for row, session in zip(manifest["sessions"], bundle.sessions):
-        assert row["record_count"] == len(session.records)
+        assert row["record_count"] == len(session.ts_ms)
         assert row["span_ms"] == session.span_ms
